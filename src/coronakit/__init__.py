@@ -14,6 +14,7 @@ from .graphs import (
     Graph,
     adjacency_matrix,
     complete_graph,
+    corona,
     corona_edge,
     corona_vertex,
     cycle_graph,
@@ -63,6 +64,7 @@ from .metrics import (
 from .one_inverse import (
     OneInverse,
     laplacian_of_product,
+    one_inverse_corona,
     one_inverse_edge_corona,
     one_inverse_vertex_corona,
 )

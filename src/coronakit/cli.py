@@ -15,14 +15,7 @@ import sys
 import numpy as np
 
 from .errors import CoronaKitError, EdgeListError, PreconditionError, SingularMatrixError
-from .graphs import (
-    CoronaLayout,
-    Graph,
-    corona_edge,
-    corona_vertex,
-    format_edge_list,
-    parse_edge_list,
-)
+from .graphs import CoronaLayout, Graph, corona, format_edge_list, parse_edge_list
 from .linalg import DEFAULT_TOLERANCES
 from .metrics import (
     closed_form_resistance_matrix,
@@ -147,14 +140,10 @@ def layout_manifest(layout: CoronaLayout) -> dict:
     }
 
 
-def _build_layout(kind: str, g1: Graph, g2: Graph) -> CoronaLayout:
-    return corona_vertex(g1, g2) if kind == "vertex" else corona_edge(g1, g2)
-
-
 def cmd_build(args) -> int:
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
-    layout = _build_layout(args.kind, g1, g2)
+    layout = corona(g1, g2, args.kind)
     edge_text = format_edge_list(layout.product)
     manifest_text = render_json(layout_manifest(layout))
     if args.out:
@@ -174,7 +163,7 @@ def cmd_resistance(args) -> int:
         return EXIT_USAGE
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
-    layout = _build_layout(args.kind, g1, g2)
+    layout = corona(g1, g2, args.kind)
     bound = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES.entry
 
     payload: dict = {
@@ -227,7 +216,7 @@ def cmd_kirchhoff(args) -> int:
             return EXIT_USAGE
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
-    layout = _build_layout(kind, g1, g2)
+    layout = corona(g1, g2, kind)
     # formula preconditions first, so their message wins over a downstream
     # disconnected-product complaint from the oracle
     if args.formula == "thm4.1":

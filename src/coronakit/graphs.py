@@ -10,15 +10,17 @@ The vertex variant joins each vertex of ``G1`` to the original ``G2``
 vertices of its copy; the edge variant joins it to the inserted subdivision
 vertices instead.  Product vertices are numbered in three consecutive
 blocks, subdivision vertices first, then copy vertices, then base vertices,
-with the owning ``G1`` vertex varying fastest.  Under that numbering the
-product Laplacian is a 3x3 block matrix of Kronecker lifts ``X (x) I_{n1}``
-of small factor matrices, which is what the closed-form inverse assembly
-relies on.
+with the owning ``G1`` vertex varying fastest, so vertex ``p*n1 + i`` is
+position ``p`` of the gadget (copy of ``S(G2)`` plus base vertex) owned by
+``i``.  Under that numbering the product Laplacian is a 3x3 block matrix of
+Kronecker lifts ``X (x) I_{n1}`` of small factor matrices, which is what the
+Kronecker-sum {1}-inverse relies on.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,16 +87,19 @@ class Graph:
             d[v] += 1
         return d
 
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # built once per graph; sorted because edges are in canonical order
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.vertex_count:
             raise IndexError(f"vertex {v} out of range")
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(sorted(out))
+        return self._adjacency[v]
 
 
 def complete_graph(n: int) -> Graph:
@@ -173,10 +178,7 @@ def is_connected(g: Graph) -> bool:
     n = g.vertex_count
     if n <= 1:
         return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g._adjacency
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     queue = deque([0])
@@ -299,7 +301,12 @@ class CoronaLayout:
         return slice(0, s), slice(s, s + c), slice(s + c, n)
 
 
-def _corona(g1: Graph, g2: Graph, kind: str) -> CoronaLayout:
+def corona(g1: Graph, g2: Graph, kind: str) -> CoronaLayout:
+    """The ``kind`` product ("vertex" or "edge") of ``g1`` and ``g2`` with its layout.
+
+    Raises ``PreconditionError`` when ``g1`` is empty and ``ValueError``
+    for an unknown kind.
+    """
     if g1.vertex_count == 0:
         raise PreconditionError("corona product needs a nonempty first factor")
     n1 = g1.vertex_count
@@ -338,7 +345,7 @@ def corona_vertex(g1: Graph, g2: Graph) -> CoronaLayout:
     The product has ``n1 (1 + n2 + m2)`` vertices and ``m1 + n1 n2 + 2 n1 m2``
     edges.  Raises ``PreconditionError`` when ``g1`` is empty.
     """
-    return _corona(g1, g2, VERTEX_KIND)
+    return corona(g1, g2, VERTEX_KIND)
 
 
 def corona_edge(g1: Graph, g2: Graph) -> CoronaLayout:
@@ -347,7 +354,7 @@ def corona_edge(g1: Graph, g2: Graph) -> CoronaLayout:
     Same vertex count as the vertex variant, ``m1 + 3 n1 m2`` edges.
     Raises ``PreconditionError`` when ``g1`` is empty.
     """
-    return _corona(g1, g2, EDGE_KIND)
+    return corona(g1, g2, EDGE_KIND)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -4,27 +4,28 @@ Two independent routes to every quantity:
 
 * oracle: invert nothing but the full product Laplacian's rank-one shift,
   i.e. the group inverse of the whole graph, and read resistances off it.
-* closed form: per-pair case dispatch against the assembled small-block
-  {1}-inverse, with subdivision vertices handled by expanding them into
-  their two or three neighbors, plus closed Kirchhoff-index expressions
-  that never touch the product at all.
+* closed form: one expression over the factor-sized pieces of the
+  {1}-inverse ``X = W (x) I + J (x) S#`` (see the one_inverse module).
+  For product vertices ``(p, i)`` and ``(q, j)``, gadget positions ``p, q``
+  owned by first-factor vertices ``i, j``,
+
+      r = W_pp + W_qq - 2 W_pq [i = j] + S#_ii + S#_jj - 2 S#_ij,
+
+  which serves single pairs and, broadcast, the whole matrix; plus closed
+  Kirchhoff-index expressions that never touch the product at all.
 
 The oracle route is deliberately kept free of any shared code with the
 assembly so agreement between the two is meaningful evidence.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoronaKitError, PreconditionError
 from .graphs import (
-    BASE,
-    COPY,
     EDGE_KIND,
-    SUBDIVISION,
     VERTEX_KIND,
     Coord,
     Graph,
@@ -41,7 +42,7 @@ from .linalg import (
     inverse,
     symmetric_eigenvalues,
 )
-from .one_inverse import OneInverse, one_inverse_edge_corona, one_inverse_vertex_corona
+from .one_inverse import OneInverse, _require_factors, one_inverse_corona
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,85 +90,28 @@ def resistance_oracle(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> Resista
 def one_inverse_resistance_matrix(
     g1: Graph, g2: Graph, kind: str, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ResistanceMatrix:
-    """Resistance matrix read directly off the assembled small-block {1}-inverse."""
-    if kind == VERTEX_KIND:
-        oi = one_inverse_vertex_corona(g1, g2, tol)
-    elif kind == EDGE_KIND:
-        oi = one_inverse_edge_corona(g1, g2, tol)
-    else:
-        raise ValueError(f"unknown product kind {kind!r}")
+    """Resistance matrix read directly off the materialized product-size {1}-inverse."""
+    oi = one_inverse_corona(g1, g2, kind, tol)
     return ResistanceMatrix(
         values=resistance_matrix_from_one_inverse(oi.matrix),
         provenance=f"one-inverse-{kind}",
     )
 
 
-def _expand_subdivision(oi: OneInverse, ci: Coord, cj: Coord, memo: dict) -> float:
-    # replace the subdivision vertex ci by its neighbors; cj may itself be
-    # a subdivision vertex, in which case the recursive calls expand it too
-    lay = oi.layout
-    e, owner = ci[1], ci[2]
-    a, b = lay.g2.edges[e]
-    u: Coord = (COPY, a, owner)
-    v: Coord = (COPY, b, owner)
-    if oi.kind == VERTEX_KIND:
-        return (
-            0.5
-            + 0.5 * _pair_resistance(oi, u, cj, memo)
-            + 0.5 * _pair_resistance(oi, v, cj, memo)
-            - 0.25 * _pair_resistance(oi, u, v, memo)
-        )
-    w: Coord = (BASE, owner, owner)
-    direct = (
-        1.0
-        + _pair_resistance(oi, u, cj, memo)
-        + _pair_resistance(oi, v, cj, memo)
-        + _pair_resistance(oi, w, cj, memo)
-    ) / 3.0
-    cross = (
-        _pair_resistance(oi, u, v, memo)
-        + _pair_resistance(oi, u, w, memo)
-        + _pair_resistance(oi, v, w, memo)
-    ) / 9.0
-    return direct - cross
+def _resistance(oi: OneInverse, u, v):
+    # global index p*n1 + i is gadget position p owned by first-factor vertex i;
+    # u and v may be single indices or broadcastable index arrays
+    p, i = divmod(u, oi.layout.n1)
+    q, j = divmod(v, oi.layout.n1)
+    w, s = oi.gadget, oi.s_sharp
+    return w[p, p] + w[q, q] - 2.0 * w[p, q] * (i == j) + (s[i, i] + s[j, j] - 2.0 * s[i, j])
 
 
-def _pair_resistance(oi: OneInverse, ci: Coord, cj: Coord, memo: dict) -> float:
-    if ci == cj:
-        return 0.0
-    key = (ci, cj) if ci <= cj else (cj, ci)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if ci[0] == SUBDIVISION:
-        val = _expand_subdivision(oi, ci, cj, memo)
-    elif cj[0] == SUBDIVISION:
-        val = _expand_subdivision(oi, cj, ci, memo)
-    elif ci[0] == COPY and cj[0] == COPY and ci[2] == cj[2]:
-        # same copy: only the shifted second-factor inverse is consulted
-        q = oi.small_inverse
-        a, b = ci[1], cj[1]
-        coeff = 2.0 if oi.kind == VERTEX_KIND else 3.0
-        val = coeff * (q[a, a] + q[b, b] - 2.0 * q[a, b])
-    elif ci[0] == BASE and cj[0] == BASE:
-        s = oi.s_sharp
-        i, j = ci[1], cj[1]
-        val = float(s[i, i] + s[j, j] - 2.0 * s[i, j])
-    else:
-        # cross-copy and cross-class pairs read the assembled matrix
-        val = resistance_from_one_inverse(
-            oi.matrix, oi.layout.global_index(ci), oi.layout.global_index(cj)
-        )
-    memo[key] = val
-    return val
-
-
-def _one_inverse_for(g1: Graph, g2: Graph, kind: str, tol: Tolerances) -> OneInverse:
-    if kind == VERTEX_KIND:
-        return one_inverse_vertex_corona(g1, g2, tol)
-    if kind == EDGE_KIND:
-        return one_inverse_edge_corona(g1, g2, tol)
-    raise ValueError(f"unknown product kind {kind!r}")
+def _pair_query(
+    g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None, tol: Tolerances, kind: str
+) -> float:
+    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind, tol)
+    return float(_resistance(oi, oi.layout.global_index(i), oi.layout.global_index(j)))
 
 
 def resistance_vertex_corona(
@@ -183,11 +127,7 @@ def resistance_vertex_corona(
     Coordinates are (class, local index, copy owner) triples as produced
     by ``CoronaLayout.classify``.
     """
-    oi = one_inv if one_inv is not None else one_inverse_vertex_corona(g1, g2, tol)
-    ci, cj = tuple(i), tuple(j)
-    oi.layout.global_index(ci)
-    oi.layout.global_index(cj)
-    return _pair_resistance(oi, ci, cj, {})
+    return _pair_query(g1, g2, i, j, one_inv, tol, VERTEX_KIND)
 
 
 def resistance_edge_corona(
@@ -199,28 +139,16 @@ def resistance_edge_corona(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Closed-form resistance between two edge-product vertices."""
-    oi = one_inv if one_inv is not None else one_inverse_edge_corona(g1, g2, tol)
-    ci, cj = tuple(i), tuple(j)
-    oi.layout.global_index(ci)
-    oi.layout.global_index(cj)
-    return _pair_resistance(oi, ci, cj, {})
+    return _pair_query(g1, g2, i, j, one_inv, tol, EDGE_KIND)
 
 
 def closed_form_resistance_matrix(
     g1: Graph, g2: Graph, kind: str, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ResistanceMatrix:
-    """Full resistance matrix through the per-case closed-form dispatch."""
-    oi = _one_inverse_for(g1, g2, kind, tol)
-    n = oi.layout.product.vertex_count
-    coords = [oi.layout.classify(v) for v in range(n)]
-    memo: dict = {}
-    values = np.zeros((n, n))
-    for p in range(n):
-        for q in range(p + 1, n):
-            r = _pair_resistance(oi, coords[p], coords[q], memo)
-            values[p, q] = r
-            values[q, p] = r
-    return ResistanceMatrix(values=values, provenance="closed-form")
+    """Full resistance matrix from the closed-form expression, broadcast over all pairs."""
+    oi = one_inverse_corona(g1, g2, kind, tol)
+    v = np.arange(oi.layout.product.vertex_count)
+    return ResistanceMatrix(values=_resistance(oi, v[:, None], v), provenance="closed-form")
 
 
 def vertex_copy_resistance_alt(
@@ -267,16 +195,15 @@ def neighbor_identity_check(g: Graph, values) -> float:
         raise ValueError(f"expected a {n} x {n} matrix, got shape {r.shape}")
     worst = 0.0
     for i in range(n):
-        nbrs = g.neighbors(i)
+        nbrs = list(g.neighbors(i))
         d = len(nbrs)
         if d == 0:
             continue
-        pair_sum = sum(r[k, l] for k, l in itertools.combinations(nbrs, 2))
-        for j in range(n):
-            if j == i:
-                continue
-            rhs = (1.0 + sum(r[k, j] for k in nbrs) - pair_sum / d) / d
-            worst = max(worst, abs(r[i, j] - rhs))
+        pair_sum = r[np.ix_(nbrs, nbrs)][np.triu_indices(d, 1)].sum()
+        rhs = (1.0 + r[nbrs].sum(axis=0) - pair_sum / d) / d
+        dev = np.abs(r[i] - rhs)
+        dev[i] = 0.0
+        worst = max(worst, float(dev.max()))
     return worst
 
 
@@ -292,8 +219,11 @@ def metric_violation(values) -> float:
     worst = float(np.abs(r - r.T).max())
     worst = max(worst, float(np.abs(np.diag(r)).max()))
     worst = max(worst, max(0.0, -float(r.min())))
-    through = r[:, :, None] + r[None, :, :]
-    worst = max(worst, max(0.0, float((r - through.min(axis=1)).max())))
+    # running minimum over the middle vertex: n x n memory, not n x n x n
+    through = r[:, :1] + r[:1, :]
+    for k in range(1, r.shape[0]):
+        np.minimum(through, r[:, k : k + 1] + r[k : k + 1, :], out=through)
+    worst = max(worst, max(0.0, float((r - through).max())))
     return worst
 
 
@@ -301,8 +231,8 @@ def kirchhoff_oracle(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> Kirchhof
     """Kirchhoff index as n times the trace of the Laplacian group inverse.
 
     Cross-checked internally against the unordered-pair resistance sum;
-    disagreement beyond the residual tolerance raises, since that would
-    mean the oracle itself is broken.
+    disagreement beyond the residual tolerance relative to ``1 + Kf``
+    raises, since that would mean the oracle itself is broken.
     """
     if not is_connected(g):
         raise PreconditionError("Kirchhoff index needs a connected graph")
@@ -310,7 +240,7 @@ def kirchhoff_oracle(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> Kirchhof
     n = g.vertex_count
     value = float(n * np.trace(x))
     pair_sum = float(resistance_matrix_from_one_inverse(x).sum() / 2.0)
-    if abs(value - pair_sum) > tol.residual:
+    if abs(value - pair_sum) > tol.residual * (1.0 + abs(value)):
         raise CoronaKitError(
             f"oracle self-check failed: trace route {value} vs pair sum {pair_sum}"
         )
@@ -323,17 +253,15 @@ def kirchhoff_pair_sum(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> Kirchh
     return KirchhoffResult(value=float(rm.values.sum() / 2.0), method="oracle-sum")
 
 
-def _kf_common(g1: Graph, tol: Tolerances) -> float:
-    if g1.vertex_count == 0:
-        raise PreconditionError("corona product needs a nonempty first factor")
-    if not is_connected(g1):
-        raise PreconditionError("first factor must be connected")
-    return kirchhoff_oracle(g1, tol).value
+def _kf_common(g1: Graph, g2: Graph, kind: str, tol: Tolerances) -> tuple[float, int]:
+    # preconditions before the first factor's oracle; returns (Kf(G1), r2)
+    r2 = _require_factors(g1, g2, kind)
+    return kirchhoff_oracle(g1, tol).value, r2
 
 
 def kf_vertex_corona(g1: Graph, g2: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the vertex product, any second factor."""
-    kf1 = _kf_common(g1, tol)
+    kf1, _ = _kf_common(g1, g2, VERTEX_KIND, tol)
     n1 = g1.vertex_count
     n2, m2 = g2.vertex_count, g2.edge_count
     total = n1 * (1 + n2 + m2)
@@ -365,7 +293,7 @@ def kf_vertex_corona_regular(
 
     Degree zero is allowed; only regularity matters here.
     """
-    kf1 = _kf_common(g1, tol)
+    kf1, _ = _kf_common(g1, g2, VERTEX_KIND, tol)
     r2 = is_regular(g2)
     if r2 is None:
         raise PreconditionError("this formula needs a regular second factor")
@@ -397,12 +325,7 @@ def kf_edge_corona_regular(
     Needs a regular second factor of degree at least 1; otherwise the
     product is disconnected and the index is undefined.
     """
-    kf1 = _kf_common(g1, tol)
-    r2 = is_regular(g2)
-    if r2 is None:
-        raise PreconditionError("edge product needs a regular second factor")
-    if r2 < 1:
-        raise PreconditionError("edge product needs second-factor degree at least 1")
+    kf1, r2 = _kf_common(g1, g2, EDGE_KIND, tol)
     n1 = g1.vertex_count
     n2, m2 = g2.vertex_count, g2.edge_count
     total = n1 * (1 + n2 + m2)

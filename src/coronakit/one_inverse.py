@@ -1,27 +1,29 @@
 """Closed-form {1}-inverses of corona-product Laplacians.
 
-In the three-block vertex numbering (subdivision, copy, base) the product
-Laplacian is a 3x3 block matrix of Kronecker lifts of small factor-graph
-matrices.  A symmetric {1}-inverse is assembled directly from those small
-pieces: the inverse of a shifted second-factor Laplacian, the group inverse
-of the first factor's Laplacian, and two all-ones lifts.  The big product
-matrix is never inverted here; that brute-force route lives in the metrics
-module and serves as the independent oracle.
+Every product vertex has global index ``p*n1 + i``: ``i`` is the owning
+first-factor vertex and ``p`` its position in the gadget, i.e. the copy of
+``S(G2)`` plus base vertex hung on ``i`` (subdivision vertex of edge ``e``
+at ``p = e``, copy of vertex ``a`` at ``p = m2 + a``, the base at
+``p = m2 + n2``).  A symmetric {1}-inverse of the product Laplacian is then
+the Kronecker sum
 
-For the vertex product the shift is ``L2 + 2I``; for the edge product it is
-``L2 + r2 I`` with ``r2`` the common degree of the (required regular)
-second factor.  Writing ``Q`` for the shifted matrix, ``T`` for the lifted
-top-left factor, ``S#`` for the first factor's group inverse and ``H, K``
-for the all-ones lifts over edges and vertices of the second factor, the
-assembled matrix is
+    X = W (x) I_{n1} + J_b (x) S#,        b = m2 + n2 + 1,
 
-    [[ T + H S# H^T,  coupling + H S# K^T,  H S#   ],
-     [      ...    ,  c Q^-1 (x) I + K S# K^T,  K S#   ],
-     [      ...    ,         ...           ,  S#     ]]
+with ``S#`` the group inverse of ``L(G1)``, ``J_b`` the all-ones matrix and
+``W`` the b x b gadget matrix
 
-with ``c = 2`` (vertex) or ``3`` (edge) and coupling ``R2^T Q^-1 (x) I``;
-the lower triangle mirrors the upper and the whole matrix is symmetrized
-exactly, so ``N == N.T`` holds bit for bit.
+    [[ T,          R2^T Q^-1,  0 ],
+     [ Q^-1 R2,    c Q^-1,     0 ],
+     [ 0,          0,          0 ]].
+
+Here ``R2`` is the incidence matrix of the second factor and ``Q`` its
+shifted Laplacian: ``L2 + 2I`` with ``c = 2`` for the vertex product, or
+``L2 + r2 I`` with ``c = 3`` for the edge product of an ``r2``-regular
+second factor; ``T = (I + R2^T Q^-1 R2) / c``.  Only ``W``, ``Q^-1`` and
+``S#`` are stored; the product-size matrix is built only when
+``OneInverse.matrix`` is read.  The product Laplacian is never inverted
+here; that brute-force route lives in the metrics module and serves as
+the independent oracle.
 """
 from __future__ import annotations
 
@@ -35,8 +37,7 @@ from .graphs import (
     VERTEX_KIND,
     CoronaLayout,
     Graph,
-    corona_edge,
-    corona_vertex,
+    corona,
     degree_matrix,
     incidence_matrix,
     is_connected,
@@ -48,34 +49,33 @@ from .linalg import DEFAULT_TOLERANCES, Tolerances, group_inverse_laplacian, inv
 
 @dataclass(frozen=True, eq=False)
 class OneInverse:
-    """Assembled symmetric {1}-inverse with its building blocks retained.
+    """Symmetric {1}-inverse of a product Laplacian, kept in factor-sized pieces.
 
     Attributes
     ----------
     kind : str
         Product kind, "vertex" or "edge".
     layout : CoronaLayout
-        The product this matrix belongs to.
-    matrix : ndarray
-        Full symmetric {1}-inverse of the product Laplacian.
-    t_block : ndarray
-        Lifted top-left factor (subdivision block before the rank-one part).
+        The product this inverse belongs to.
     small_inverse : ndarray
         Inverse of the shifted second-factor Laplacian, n2 x n2.
     s_sharp : ndarray
-        Group inverse of the first factor's Laplacian.
-    h, k : ndarray
-        All-ones Kronecker lifts over the second factor's edges / vertices.
+        Group inverse of the first factor's Laplacian, n1 x n1.
+    gadget : ndarray
+        The b x b gadget matrix ``W``, b = m2 + n2 + 1.
     """
 
     kind: str
     layout: CoronaLayout
-    matrix: np.ndarray
-    t_block: np.ndarray
     small_inverse: np.ndarray
     s_sharp: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
+    gadget: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full product-size matrix ``W (x) I + J (x) S#``, built on every read."""
+        b = self.gadget.shape[0]
+        return kron(self.gadget, np.eye(self.layout.n1)) + kron(np.ones((b, b)), self.s_sharp)
 
 
 def _require_factors(g1: Graph, g2: Graph, kind: str) -> int:
@@ -94,54 +94,33 @@ def _require_factors(g1: Graph, g2: Graph, kind: str) -> int:
     return 0
 
 
-def _assemble(g1: Graph, g2: Graph, kind: str, tol: Tolerances) -> OneInverse:
+def one_inverse_corona(
+    g1: Graph, g2: Graph, kind: str, tol: Tolerances = DEFAULT_TOLERANCES
+) -> OneInverse:
+    """Symmetric {1}-inverse of the ``kind`` product's Laplacian."""
+    layout = corona(g1, g2, kind)
     r2 = _require_factors(g1, g2, kind)
-    layout = corona_vertex(g1, g2) if kind == VERTEX_KIND else corona_edge(g1, g2)
-    n1, n2, m2 = layout.n1, layout.n2, layout.m2
-    eye1 = np.eye(n1)
-    l2 = laplacian(g2)
+    n2, m2 = layout.n2, layout.m2
     r2mat = incidence_matrix(g2)
-
-    if kind == VERTEX_KIND:
-        shifted = l2 + 2.0 * np.eye(n2)
-        t_weight, mid_coeff = 0.5, 2.0
-    else:
-        shifted = l2 + float(r2) * np.eye(n2)
-        t_weight, mid_coeff = 1.0 / 3.0, 3.0
-    small_inverse = inverse(shifted, tol)
+    shift, coeff = (2.0, 2.0) if kind == VERTEX_KIND else (float(r2), 3.0)
+    small_inverse = inverse(laplacian(g2) + shift * np.eye(n2), tol)
     small_inverse = 0.5 * (small_inverse + small_inverse.T)
+    t_small = (np.eye(m2) + r2mat.T @ small_inverse @ r2mat) / coeff
+    coupling = r2mat.T @ small_inverse
 
-    t_small = t_weight * (np.eye(m2) + r2mat.T @ small_inverse @ r2mat)
-    t_small = 0.5 * (t_small + t_small.T)
-    t_block = kron(t_small, eye1)
-
-    s_sharp = group_inverse_laplacian(laplacian(g1), tol)
-    h = kron(np.ones((m2, 1)), eye1)
-    k = kron(np.ones((n2, 1)), eye1)
-
-    n = layout.product.vertex_count
-    sub, cop, bas = layout.block_slices()
-    x = np.zeros((n, n))
-    x[sub, sub] = t_block + h @ s_sharp @ h.T
-    x[sub, cop] = kron(r2mat.T @ small_inverse, eye1) + h @ s_sharp @ k.T
-    x[sub, bas] = h @ s_sharp
-    x[cop, cop] = mid_coeff * kron(small_inverse, eye1) + k @ s_sharp @ k.T
-    x[cop, bas] = k @ s_sharp
-    x[bas, bas] = s_sharp
-    x[cop, sub] = x[sub, cop].T
-    x[bas, sub] = x[sub, bas].T
-    x[bas, cop] = x[cop, bas].T
-    x = 0.5 * (x + x.T)
-
+    # every block is exactly symmetric, so X == X.T holds bit for bit
+    w = np.zeros((m2 + n2 + 1,) * 2)
+    sub, cop = slice(0, m2), slice(m2, m2 + n2)
+    w[sub, sub] = 0.5 * (t_small + t_small.T)
+    w[sub, cop] = coupling
+    w[cop, sub] = coupling.T
+    w[cop, cop] = coeff * small_inverse
     return OneInverse(
         kind=kind,
         layout=layout,
-        matrix=x,
-        t_block=t_block,
         small_inverse=small_inverse,
-        s_sharp=s_sharp,
-        h=h,
-        k=k,
+        s_sharp=group_inverse_laplacian(laplacian(g1), tol),
+        gadget=w,
     )
 
 
@@ -152,7 +131,7 @@ def one_inverse_vertex_corona(
 
     Requires ``g1`` nonempty and connected; ``g2`` may be any simple graph.
     """
-    return _assemble(g1, g2, VERTEX_KIND, tol)
+    return one_inverse_corona(g1, g2, VERTEX_KIND, tol)
 
 
 def one_inverse_edge_corona(
@@ -164,7 +143,7 @@ def one_inverse_edge_corona(
     least 1 (otherwise the product is disconnected and the assembly does
     not apply).
     """
-    return _assemble(g1, g2, EDGE_KIND, tol)
+    return one_inverse_corona(g1, g2, EDGE_KIND, tol)
 
 
 def laplacian_of_product(layout: CoronaLayout) -> np.ndarray:

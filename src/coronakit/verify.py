@@ -21,8 +21,7 @@ from .graphs import (
     VERTEX_KIND,
     Graph,
     complete_graph,
-    corona_edge,
-    corona_vertex,
+    corona,
     cycle_graph,
     is_connected,
     is_regular,
@@ -47,12 +46,32 @@ from .metrics import (
     resistance_edge_corona,
     vertex_copy_resistance_alt,
 )
-from .one_inverse import laplacian_of_product, one_inverse_edge_corona, one_inverse_vertex_corona
+from .one_inverse import (
+    laplacian_of_product,
+    one_inverse_corona,
+    one_inverse_edge_corona,
+    one_inverse_vertex_corona,
+)
 
 CORPUS_G1 = ("K1", "K2", "P3", "K3", "S3")
 CORPUS_G2 = ("K1", "K2", "P3", "C3", "C4", "K3")
 
 _NAME_RE = re.compile(r"^([KPCS])(\d+)$")
+
+# row families of a product whose closed forms need connected/admissible factors
+_PRODUCT_FAMILIES = (
+    "assembly",
+    "resistance-one-inverse",
+    "resistance-closed-form",
+    "local-identity",
+    "metric-axioms",
+    "group-inverse",
+    "group-inverse-nullvector",
+    "kirchhoff-closed-form",
+    "kirchhoff-oracle-consistency",
+    "copy-pair-alt",
+)
+_REGULAR_FAMILIES = ("kirchhoff-regular", "kirchhoff-regular-consistency")
 
 
 def named_graph(name: str) -> Graph:
@@ -141,7 +160,7 @@ def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray, tol: Tole
 
 
 def _product_rows(col, pair, kind, g1, g2, tol: Tolerances) -> None:
-    layout = corona_vertex(g1, g2) if kind == VERTEX_KIND else corona_edge(g1, g2)
+    layout = corona(g1, g2, kind)
     n1, m1 = layout.n1, layout.m1
     n2, m2 = layout.n2, layout.m2
     want_n = n1 * (1 + n2 + m2)
@@ -155,50 +174,23 @@ def _product_rows(col, pair, kind, g1, g2, tol: Tolerances) -> None:
         f"laplacian-blocks/{kind}/{pair}", _max_abs(laplacian_of_product(layout) - lap), 0.0
     )
 
-    if not is_connected(g1):
-        for family in (
-            "assembly",
-            "resistance-one-inverse",
-            "resistance-closed-form",
-            "local-identity",
-            "metric-axioms",
-            "group-inverse",
-            "group-inverse-nullvector",
-            "kirchhoff-closed-form",
-            "kirchhoff-oracle-consistency",
-            "copy-pair-alt",
-        ):
-            col.skip(f"{family}/{kind}/{pair}", "first factor disconnected")
-        if kind == VERTEX_KIND:
-            for family in ("kirchhoff-regular", "kirchhoff-regular-consistency"):
-                col.skip(f"{family}/{kind}/{pair}", "first factor disconnected")
-        return
-
     r2 = is_regular(g2)
-    if kind == EDGE_KIND and (r2 is None or r2 < 1):
-        note = (
-            "second factor not regular" if r2 is None else "second factor has degree 0"
-        )
-        for family in (
-            "assembly",
-            "resistance-one-inverse",
-            "resistance-closed-form",
-            "local-identity",
-            "metric-axioms",
-            "group-inverse",
-            "group-inverse-nullvector",
-            "kirchhoff-closed-form",
-            "kirchhoff-oracle-consistency",
-            "copy-pair-alt",
-        ):
+    if not is_connected(g1):
+        note = "first factor disconnected"
+    elif kind == EDGE_KIND and r2 is None:
+        note = "second factor not regular"
+    elif kind == EDGE_KIND and r2 < 1:
+        note = "second factor has degree 0"
+    else:
+        note = None
+    if note is not None:
+        # only vertex products carry the regular-formula rows
+        regular = _REGULAR_FAMILIES if kind == VERTEX_KIND else ()
+        for family in _PRODUCT_FAMILIES + regular:
             col.skip(f"{family}/{kind}/{pair}", note)
         return
 
-    oi = (
-        one_inverse_vertex_corona(g1, g2, tol)
-        if kind == VERTEX_KIND
-        else one_inverse_edge_corona(g1, g2, tol)
-    )
+    oi = one_inverse_corona(g1, g2, kind, tol)
     col.check(f"assembly/{kind}/{pair}", _max_abs(lap @ oi.matrix @ lap - lap), tol.residual)
 
     r_oracle = resistance_oracle(layout.product, tol).values

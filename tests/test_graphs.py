@@ -13,6 +13,7 @@ from coronakit import (
     PreconditionError,
     adjacency_matrix,
     complete_graph,
+    corona,
     corona_edge,
     corona_vertex,
     cycle_graph,
@@ -79,6 +80,15 @@ class TestGraph:
         assert g.neighbors(1) == (0, 2)
         with pytest.raises(IndexError):
             g.neighbors(3)
+
+    @given(graphs())
+    def test_neighbors_match_edge_scan(self, g):
+        for v in range(g.vertex_count):
+            scan = sorted([b for a, b in g.edges if a == v] + [a for a, b in g.edges if b == v])
+            assert g.neighbors(v) == tuple(scan)
+        # the adjacency cached by neighbors() takes no part in equality
+        assert g == Graph(g.vertex_count, g.edges)
+        assert hash(g) == hash(Graph(g.vertex_count, g.edges))
 
     def test_factories(self):
         assert complete_graph(4).edge_count == 6
@@ -154,6 +164,15 @@ class TestPredicates:
 
 
 class TestCorona:
+    @given(connected_graphs(max_vertices=4), graphs(max_vertices=4))
+    def test_kind_dispatch_matches_named_products(self, g1, g2):
+        assert corona(g1, g2, "vertex") == corona_vertex(g1, g2)
+        assert corona(g1, g2, "edge") == corona_edge(g1, g2)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            corona(complete_graph(2), complete_graph(2), "line")
+
     def test_vertex_product_of_k1_k2_is_four_cycle(self):
         layout = corona_vertex(complete_graph(1), complete_graph(2))
         assert layout.product.edges == ((0, 1), (0, 2), (1, 3), (2, 3))

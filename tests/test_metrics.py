@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from coronakit import (
     block_one_inverse,
     closed_form_resistance_matrix,
     complete_graph,
+    corona,
     corona_edge,
     corona_vertex,
     cycle_graph,
@@ -92,6 +95,16 @@ class TestClosedFormDispatch:
         closed = closed_form_resistance_matrix(g1, g2, "edge").values
         oracle = resistance_oracle(layout.product).values
         assert np.abs(closed - oracle).max() < 1e-9
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_matches_oracle_at_820_vertices(self, kind):
+        g = cycle_graph(20)
+        closed = closed_form_resistance_matrix(g, g, kind).values
+        oracle = resistance_oracle(corona(g, g, kind).product).values
+        assert closed.shape == (820, 820)
+        assert np.abs(closed - oracle).max() < 1e-9
+        assert np.array_equal(closed, closed.T)
+        assert not np.diag(closed).any()
 
     def test_one_inverse_read_matches_oracle(self):
         g1, g2 = named_graph("K2"), named_graph("C3")
@@ -190,6 +203,23 @@ class TestNeighborIdentity:
         with pytest.raises(ValueError):
             neighbor_identity_check(cycle_graph(4), np.zeros((3, 3)))
 
+    def test_row_form_matches_pairwise_loop(self):
+        # reference: the identity evaluated one (i, j) pair at a time
+        g = corona_vertex(named_graph("S3"), named_graph("C4")).product
+        rng = np.random.default_rng(3)
+        r = rng.random((g.vertex_count,) * 2)
+        want = 0.0
+        for i in range(g.vertex_count):
+            nbrs = g.neighbors(i)
+            d = len(nbrs)
+            pair_sum = sum(r[k, l] for k, l in itertools.combinations(nbrs, 2))
+            for j in range(g.vertex_count):
+                if j != i:
+                    rhs = (1.0 + sum(r[k, j] for k in nbrs) - pair_sum / d) / d
+                    want = max(want, abs(r[i, j] - rhs))
+        assert want > 0.1
+        assert neighbor_identity_check(g, r) == pytest.approx(want, rel=1e-12)
+
 
 class TestMetricAxioms:
     def test_zero_on_oracle(self):
@@ -203,6 +233,17 @@ class TestMetricAxioms:
     def test_flags_asymmetry(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         assert metric_violation(bad) >= 1.0
+
+    def test_running_minimum_matches_full_triple_scan(self):
+        rng = np.random.default_rng(7)
+        a = rng.random((9, 9))
+        r = a + a.T
+        np.fill_diagonal(r, 0.0)
+        r[2, 5] = r[5, 2] = 3.0
+        through = (r[:, :, None] + r[None, :, :]).min(axis=1)
+        want = max(0.0, float((r - through).max()))
+        assert want > 0.0
+        assert metric_violation(r) == want
 
     def test_flags_triangle_violation(self):
         bad = np.array(
@@ -232,6 +273,13 @@ class TestKirchhoffOracle:
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             kirchhoff_oracle(Graph(3, ((0, 1),)))
+
+    def test_self_check_scales_with_the_index(self):
+        # Kf(P1500) is about 5.6e8; its two routes differ by ulps, far
+        # above an absolute 1e-8
+        n = 1500
+        want = (n**3 - n) / 6
+        assert kirchhoff_oracle(path_graph(n)).value == pytest.approx(want, rel=1e-9)
 
 
 class TestKirchhoffClosedForms:
@@ -268,6 +316,13 @@ class TestKirchhoffClosedForms:
             want = kirchhoff_oracle(corona_edge(g1, g2).product).value
             got = kf_edge_corona_regular(g1, g2).value
             assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+    def test_long_first_factor(self):
+        # the first factor's oracle runs inside every closed form
+        g1, g2 = path_graph(1500), cycle_graph(4)
+        general = kf_vertex_corona(g1, g2).value
+        special = kf_vertex_corona_regular(g1, g2).value
+        assert special == pytest.approx(general, rel=1e-8)
 
     def test_edgeless_second_factor(self):
         # three pendant-free isolated copies per base vertex still connect

@@ -9,6 +9,7 @@ from coronakit import (
     corona_edge,
     corona_vertex,
     complete_graph,
+    cycle_graph,
     incidence_matrix,
     is_regular,
     laplacian,
@@ -63,12 +64,30 @@ def test_block_shapes():
     g1, g2 = named_graph("P3"), named_graph("C4")
     oi = one_inverse_vertex_corona(g1, g2)
     n1, n2, m2 = 3, 4, 4
+    b = m2 + n2 + 1
     assert oi.small_inverse.shape == (n2, n2)
     assert oi.s_sharp.shape == (n1, n1)
-    assert oi.h.shape == (n1 * m2, n1)
-    assert oi.k.shape == (n1 * n2, n1)
-    assert oi.t_block.shape == (n1 * m2, n1 * m2)
-    assert oi.matrix.shape == (n1 * (1 + n2 + m2),) * 2
+    assert oi.gadget.shape == (b, b)
+    # the base row and column of the gadget are zero
+    assert not oi.gadget[-1].any() and not oi.gadget[:, -1].any()
+    x = oi.matrix
+    assert x.shape == (n1 * b,) * 2
+    # the all-ones lifts: every block against the base block is S# stacked
+    sub, cop, bas = oi.layout.block_slices()
+    assert np.array_equal(x[bas, bas], oi.s_sharp)
+    assert np.array_equal(x[sub, bas], np.tile(oi.s_sharp, (m2, 1)))
+    assert np.array_equal(x[cop, bas], np.tile(oi.s_sharp, (n2, 1)))
+
+
+def test_stores_no_product_size_array():
+    # 5550 product vertices; only factor- and gadget-sized pieces are kept
+    g1, g2 = cycle_graph(150), complete_graph(8)
+    oi = one_inverse_vertex_corona(g1, g2)
+    b = g2.edge_count + g2.vertex_count + 1
+    assert oi.layout.product.vertex_count == 5550
+    arrays = [v for v in vars(oi).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    assert max(a.size for a in arrays) <= max(b, g1.vertex_count) ** 2
 
 
 def test_shifted_inverse_ones_vector_identities():
@@ -85,13 +104,16 @@ def test_shifted_inverse_ones_vector_identities():
 
 
 def test_edge_top_block_fixes_all_ones_lift():
-    # T H = H for the edge assembly of a regular second factor
+    # T 1 = 1 on the gadget's subdivision block for the edge assembly of a
+    # regular second factor, i.e. (T (x) I) H = H for the all-ones lift H
     for b in CORPUS_G2:
         g2 = named_graph(b)
         if not edge_admissible(g2):
             continue
         oi = one_inverse_edge_corona(named_graph("P3"), g2)
-        assert np.allclose(oi.t_block @ oi.h, oi.h, atol=1e-12)
+        m2 = g2.edge_count
+        t = oi.gadget[:m2, :m2]
+        assert np.allclose(t @ np.ones(m2), np.ones(m2), atol=1e-12)
 
 
 def test_schur_complement_of_base_block_is_first_factor_laplacian():
