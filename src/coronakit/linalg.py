@@ -2,8 +2,9 @@
 
 Thin contract-checked wrappers over NumPy and SciPy primitives, plus the
 two specialized inverses everything else is built from: the group inverse
-of a connected graph's Laplacian and a symmetric {1}-inverse of a 2x2
-symmetric block matrix through its Schur complement.
+of a connected graph's Laplacian, from one Cholesky factorization of its
+rank-one shift, and a symmetric {1}-inverse of a 2x2 symmetric block matrix
+through its Schur complement.
 
 Matrices are float64 ndarrays throughout; functions are pure and never
 mutate their inputs.
@@ -140,17 +141,23 @@ def group_inverse_laplacian(lap, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
     """Group inverse of the Laplacian of a connected graph.
 
     Computed through the rank-one shift ``(L + J/n)^-1 - J/n`` with J the
-    all-ones matrix; no eigendecomposition is needed for the inverse
-    itself.  Satisfies ``L X L = L``, ``X L X = X``, ``L X = X L`` and
-    ``X 1 = 0``.
+    all-ones matrix, inverted from one Cholesky factor of ``L + J/n``.
+    That shift is positive definite exactly when the graph is connected,
+    so the factorization is also the connectivity test.  Satisfies
+    ``L X L = L``, ``X L X = X``, ``L X = X L`` and ``X 1 = 0``; the result
+    is exactly symmetric.
 
     Raises
     ------
     ValueError
         If the matrix is not symmetric with zero row sums.
     PreconditionError
-        If the graph is disconnected, detected as a second-smallest
-        eigenvalue below the entry tolerance.
+        If the graph is disconnected (or the matrix is not positive
+        semidefinite), detected as a Cholesky factorization of ``L + J/n``
+        that fails or has a pivot at most the entry tolerance times the
+        largest pivot.
+    SingularMatrixError
+        If LAPACK cannot invert the Cholesky factor.
     """
     m = require_symmetric(lap, tol, "laplacian")
     n = m.shape[0]
@@ -158,13 +165,20 @@ def group_inverse_laplacian(lap, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
         raise ValueError("laplacian must have at least one vertex")
     if float(np.abs(m.sum(axis=1)).max()) > tol.residual:
         raise ValueError("laplacian rows must sum to zero")
-    if n > 1:
-        ev = np.linalg.eigvalsh(m)
-        if float(ev[1]) < tol.entry:
-            raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
-    shift = np.full((n, n), 1.0 / n)
-    x = inverse(m + shift, tol) - shift
-    return 0.5 * (x + x.T)
+    # L + J/n is symmetric, so its transpose is the column-major array that
+    # LAPACK factors and inverts in place, with no copy
+    c, info = scipy.linalg.lapack.dpotrf((m + 1.0 / n).T, overwrite_a=True)
+    pivots = np.diag(c) ** 2
+    if info != 0 or float(pivots.min()) <= tol.entry * max(1.0, float(pivots.max())):
+        raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
+    x, info = scipy.linalg.lapack.dpotri(c, overwrite_c=True)
+    if info != 0:
+        raise SingularMatrixError("laplacian shift is singular to working tolerance")
+    # dpotri fills the upper triangle and the factor's lower triangle is zero
+    x += np.triu(x, 1).T
+    x -= 1.0 / n
+    # x is symmetric, so its transpose is the same matrix in row-major order
+    return x.T
 
 
 def block_one_inverse(l1, l2, l3, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

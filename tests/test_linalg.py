@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from coronakit import (
+    Graph,
     PreconditionError,
     SingularMatrixError,
     Tolerances,
@@ -24,6 +25,21 @@ from coronakit import (
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def disjoint_union(*gs):
+    edges, offset = [], 0
+    for g in gs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.vertex_count
+    return Graph(offset, tuple(edges))
+
+
+def barbell(clique, bridge):
+    # two K_clique joined through a path of `bridge` vertices
+    g = disjoint_union(complete_graph(clique), path_graph(bridge), complete_graph(clique))
+    ends = ((clique - 1, clique), (clique + bridge - 1, clique + bridge))
+    return Graph(g.vertex_count, g.edges + ends)
 
 
 def small_matrices(n):
@@ -138,11 +154,31 @@ class TestGroupInverse:
         assert np.abs(m @ x - x @ m).max() <= 1e-8
         assert np.abs(x.sum(axis=1)).max() <= 1e-10
 
+    @given(connected_graphs(max_vertices=12))
+    def test_matches_pseudo_inverse(self, g):
+        m = laplacian(g)
+        x = group_inverse_laplacian(m)
+        assert np.abs(x - np.linalg.pinv(m)).max() <= 1e-10
+        assert np.array_equal(x, x.T)
+
+    @pytest.mark.parametrize("g", [path_graph(2000), barbell(30, 200)], ids=["P2000", "barbell"])
+    def test_tiny_algebraic_connectivity_accepted(self, g):
+        # lambda2 is 2.5e-6 on P2000 and 1.5e-4 on the barbell, far below the
+        # entry tolerance a spectral test would use, yet both are connected
+        n = g.vertex_count
+        x = group_inverse_laplacian(laplacian(g))
+        assert np.abs(x.sum(axis=1)).max() <= 1e-12 * n**2
+        assert np.array_equal(x, x.T)
+
     def test_disconnected_rejected(self):
-        lap = laplacian(path_graph(2))
-        block = np.block([[lap, np.zeros((2, 2))], [np.zeros((2, 2)), lap]])
-        with pytest.raises(PreconditionError):
-            group_inverse_laplacian(block)
+        for lap in (
+            laplacian(disjoint_union(path_graph(2), path_graph(2))),
+            laplacian(disjoint_union(cycle_graph(100), cycle_graph(100))),
+            laplacian(disjoint_union(path_graph(5), Graph(1))),
+            np.array([[-1.0, 1.0], [1.0, -1.0]]),  # zero row sums, not PSD
+        ):
+            with pytest.raises(PreconditionError):
+                group_inverse_laplacian(lap)
 
     def test_nonzero_row_sums_rejected(self):
         with pytest.raises(ValueError):
