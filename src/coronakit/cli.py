@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 precondition violation.  JSON output is rendered by a small deterministic
 emitter (17 significant digits for floats, fixed key order) so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files.  Float arrays, in JSON and CSV alike,
+go through one row kernel: finiteness is checked once per array, and each
+row is formatted in one call.
 """
 from __future__ import annotations
 
@@ -40,6 +42,14 @@ def format_float(x) -> str:
     return format(v, ".17g")
 
 
+def _float_rows(a: np.ndarray, sep: str, head: str = "", tail: str = "") -> list[str]:
+    """Rows of a 2-D float array as text, each value as ``format_float`` writes it."""
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite value in output")
+    fmt = head + sep.join(["%.17g"] * a.shape[1]) + tail
+    return [fmt % tuple(row) for row in a.tolist()]
+
+
 def _is_scalar(v) -> bool:
     return v is None or isinstance(v, (bool, int, float, str, np.integer, np.floating))
 
@@ -57,7 +67,13 @@ def _render(value, parts: list[str], indent: int) -> None:
     elif isinstance(value, str):
         parts.append(json.dumps(value))
     elif isinstance(value, np.ndarray):
-        _render(value.tolist(), parts, indent)
+        if value.dtype.kind != "f" or value.ndim > 2 or not value.size:
+            _render(value.tolist(), parts, indent)
+        elif value.ndim == 1:
+            parts += _float_rows(value[None, :], ", ", "[", "]")
+        else:
+            rows = _float_rows(value, ", ", "  " * (indent + 1) + "[", "]")
+            parts += ("[\n", ",\n".join(rows), "\n" + pad + "]")
     elif isinstance(value, (list, tuple)):
         items = list(value)
         if not items:
@@ -103,9 +119,7 @@ def render_json(value) -> str:
 
 
 def render_csv(matrix) -> str:
-    rows = np.asarray(matrix, dtype=np.float64)
-    lines = [",".join(format_float(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_float_rows(np.asarray(matrix, dtype=np.float64), ",")) + "\n"
 
 
 def _load_graph(path: str) -> Graph:

@@ -4,9 +4,13 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coronakit import (
     complete_graph,
@@ -16,7 +20,8 @@ from coronakit import (
     path_graph,
     resistance_oracle,
 )
-from coronakit.cli import format_float, main, render_json
+from coronakit import cli
+from coronakit.cli import format_float, main, render_csv, render_json
 
 
 def write_graph(tmp_path, name, g):
@@ -59,6 +64,121 @@ class TestJsonEmitter:
     def test_matrix_rows_stay_inline(self):
         text = render_json({"m": np.array([[0.0, 1.0], [1.0, 0.0]])})
         assert "[0, 1]" in text
+
+
+def _reference_render(value, parts, indent):
+    # the per-element emitter the row kernel replaced: every array goes
+    # through tolist() and every float through format_float
+    pad = "  " * indent
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, float):
+        parts.append(format_float(value))
+    elif isinstance(value, int):
+        parts.append(str(value))
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+        elif all(isinstance(v, (int, float, str)) for v in value):
+            parts.append("[")
+            for i, v in enumerate(value):
+                if i:
+                    parts.append(", ")
+                _reference_render(v, parts, indent)
+            parts.append("]")
+        else:
+            parts.append("[\n")
+            for i, v in enumerate(value):
+                parts.append("  " * (indent + 1))
+                _reference_render(v, parts, indent + 1)
+                parts.append(",\n" if i < len(value) - 1 else "\n")
+            parts.append(pad + "]")
+    else:
+        parts.append("{\n")
+        for i, (k, v) in enumerate(value.items()):
+            parts.append("  " * (indent + 1) + json.dumps(k) + ": ")
+            _reference_render(v, parts, indent + 1)
+            parts.append(",\n" if i < len(value) - 1 else "\n")
+        parts.append(pad + "}")
+
+
+def reference_json(value) -> str:
+    parts: list[str] = []
+    _reference_render(value, parts, 0)
+    return "".join(parts) + "\n"
+
+
+def reference_csv(matrix) -> str:
+    rows = np.asarray(matrix, dtype=np.float64)
+    return "\n".join(",".join(format_float(v) for v in row) for row in rows) + "\n"
+
+
+AWKWARD = [-0.0, 5e-324, 1e300, 0.1, 5.0, 2.0**53, 1.0 / 3.0, -1e-300, 123456789.125]
+
+
+class TestRowKernel:
+    """The row kernel writes the same bytes as the per-element emitter."""
+
+    def assert_same(self, a):
+        payload = {"n": 3, "matrix": a, "nested": {"m": a}, "tail": 0.5}
+        assert render_json(payload) == reference_json(payload)
+        assert render_json(a) == reference_json(a)
+        if a.ndim == 2:
+            assert render_csv(a) == reference_csv(a)
+
+    def test_awkward_values(self):
+        a = np.array(AWKWARD)
+        self.assert_same(a)
+        self.assert_same(np.vstack([a, -a[::-1]]))
+
+    def test_float32_input(self):
+        # float32 values widen to float64 exactly, as format_float widens them
+        a = np.array([-0.0, 1e-45, 3e38, 0.1, 5.0, 2.0**24, 1.0 / 3.0], dtype=np.float32)
+        self.assert_same(a)
+        self.assert_same(np.vstack([a, -a[::-1]]))
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 1), (3, 4), (0,), (0, 3), (3, 0), (0, 0), (2, 2, 3)])
+    def test_shapes(self, shape):
+        a = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) / 7.0
+        self.assert_same(a)
+
+    def test_empty_csv_is_one_newline(self):
+        assert render_csv(np.zeros((0, 0))) == "\n"
+
+    def test_integer_and_bool_arrays_keep_generic_path(self):
+        assert render_json(np.array([[1, 2], [3, 4]])) == reference_json([[1, 2], [3, 4]])
+        assert render_json(np.array([True, False])) == "[true, false]\n"
+
+    @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_finite_matrices(self, a):
+        self.assert_same(a)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape,at", [((4,), (3,)), ((3, 3), (0, 0)), ((3, 3), (2, 1)), ((2, 2, 2), (1, 1, 1))])
+    def test_non_finite_anywhere_raises(self, bad, shape, at):
+        a = np.ones(shape)
+        a[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            render_json({"matrix": a})
+        if a.ndim == 2:
+            with pytest.raises(ValueError, match="non-finite"):
+                render_csv(a)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_exits_2_without_output(self, tmp_path, monkeypatch, k1, k2, fmt, bad, capsys):
+        matrix = np.zeros((4, 4))
+        matrix[1, 2] = bad
+        monkeypatch.setattr(cli, "closed_form_resistance_matrix", lambda g1, g2, kind: SimpleNamespace(values=matrix))
+        out = tmp_path / "r.out"
+        argv = ["resistance", "--kind", "vertex", "--g1", k1, "--g2", k2,
+                "--method", "closed-form", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBuild:

@@ -14,6 +14,7 @@ from coronakit import (
     SUBDIVISION,
     Graph,
     PreconditionError,
+    adjacency_matrix,
     block_one_inverse,
     closed_form_resistance_matrix,
     complete_graph,
@@ -21,6 +22,7 @@ from coronakit import (
     corona_edge,
     corona_vertex,
     cycle_graph,
+    degree_matrix,
     edge_copy_resistance_alt,
     group_inverse_laplacian,
     is_regular,
@@ -330,6 +332,42 @@ class TestKirchhoffClosedForms:
         g1, g2 = complete_graph(3), Graph(3)
         want = kirchhoff_oracle(corona_vertex(g1, g2).product).value
         assert kf_vertex_corona(g1, g2).value == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("a,b", [("P7", "C5"), ("S4", "K4")])
+    def test_trace_sums_match_matmul_form(self, a, b):
+        # the theorems as first written, with tr(M A2) and tr(M D2) as n2^3 products
+        g1, g2 = named_graph(a), named_graph(b)
+        n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
+        total, kf1 = n1 * (1 + n2 + m2), kirchhoff_oracle(g1).value
+        a2, d2 = adjacency_matrix(g2), degree_matrix(g2)
+        mu = np.linalg.eigvalsh(laplacian(g2))
+        degrees = np.diag(d2)
+
+        q_inv = np.linalg.inv(laplacian(g2) + 2.0 * np.eye(n2))
+        bracket = (
+            n1 * m2 / 2.0
+            + (n1 / 2.0) * (np.trace(q_inv @ a2) + np.trace(q_inv @ d2))
+            + 2.0 * n1 * np.sum(1.0 / (mu + 2.0))
+            + ((m2 + n2 + 1) / n1) * kf1
+        )
+        vertex = (
+            total * bracket
+            - (n1 / 2.0) * (degrees @ q_inv @ degrees)
+            - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
+        )
+        assert kf_vertex_corona(g1, g2).value == pytest.approx(vertex, rel=1e-12)
+
+        r2 = is_regular(g2)
+        c_inv = np.linalg.inv(laplacian(g2) + r2 * np.eye(n2))
+        shifted_sum = np.sum(1.0 / (mu + r2))
+        bracket = (
+            n1 * m2 / 3.0
+            + (n1 / 3.0) * (np.trace(c_inv @ a2) + r2 * shifted_sum)
+            + 3.0 * n1 * shifted_sum
+            + ((m2 + n2 + 1) / n1) * kf1
+        )
+        edge = total * bracket - (n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2) / (3.0 * r2)
+        assert kf_edge_corona_regular(g1, g2).value == pytest.approx(edge, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
