@@ -24,7 +24,6 @@ from .graphs import (
     is_connected,
     is_regular,
     laplacian,
-    line_graph,
     parse_edge_list,
     path_graph,
     star_graph,
@@ -33,13 +32,10 @@ from .graphs import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    block_one_inverse,
     group_inverse_laplacian,
     inverse,
     kron,
-    solve,
     symmetric_eigenvalues,
-    symmetric_pseudo_inverse,
 )
 from .metrics import (
     KirchhoffResult,
@@ -55,7 +51,6 @@ from .metrics import (
     neighbor_identity_check,
     one_inverse_resistance_matrix,
     resistance_edge_corona,
-    resistance_from_one_inverse,
     resistance_matrix_from_one_inverse,
     resistance_oracle,
     resistance_vertex_corona,

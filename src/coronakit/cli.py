@@ -10,6 +10,7 @@ row is formatted in one call.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -141,12 +142,12 @@ def _write_text(text: str, out: str | None) -> None:
 
 def layout_manifest(layout: CoronaLayout) -> dict:
     classes = []
-    for v in range(layout.product.vertex_count):
+    for v in range(layout.n):
         cls, local, owner = layout.classify(v)
         classes.append({"vertex": v, "class": cls, "local": local, "copy": owner})
     return {
         "kind": layout.kind,
-        "n": layout.product.vertex_count,
+        "n": layout.n,
         "n1": layout.n1,
         "n2": layout.n2,
         "m2": layout.m2,
@@ -184,7 +185,7 @@ def cmd_resistance(args) -> int:
         "command": "resistance",
         "kind": args.kind,
         "method": args.method,
-        "n": layout.product.vertex_count,
+        "n": layout.n,
     }
     exit_code = EXIT_OK
     if args.method == "oracle":
@@ -290,6 +291,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache  # parsing leaves the parser unchanged, so in-process callers share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coronakit",

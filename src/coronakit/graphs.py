@@ -14,7 +14,9 @@ with the owning ``G1`` vertex varying fastest, so vertex ``p*n1 + i`` is
 position ``p`` of the gadget (copy of ``S(G2)`` plus base vertex) owned by
 ``i``.  Under that numbering the product Laplacian is a 3x3 block matrix of
 Kronecker lifts ``X (x) I_{n1}`` of small factor matrices, which is what the
-Kronecker-sum {1}-inverse relies on.
+Kronecker-sum {1}-inverse relies on.  A ``CoronaLayout`` is that numbering
+as index arithmetic on the factor sizes; the product ``Graph`` is built
+only when ``.product`` is first read.
 """
 from __future__ import annotations
 
@@ -162,17 +164,6 @@ def subdivision(g: Graph) -> Graph:
     return Graph(n + g.edge_count, tuple(edges))
 
 
-def line_graph(g: Graph) -> Graph:
-    """Line graph: vertices are the edges of ``g``, adjacent when they share an endpoint."""
-    m = g.edge_count
-    edges = []
-    for e in range(m):
-        for f in range(e + 1, m):
-            if set(g.edges[e]) & set(g.edges[f]):
-                edges.append((e, f))
-    return Graph(m, tuple(edges))
-
-
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability; graphs with at most one vertex count as connected."""
     n = g.vertex_count
@@ -204,9 +195,12 @@ def is_regular(g: Graph) -> int | None:
 
 @dataclass(frozen=True)
 class CoronaLayout:
-    """A corona product together with its vertex numbering.
+    """A corona product's vertex numbering, with the product graph built on first read.
 
-    Global indices come in three consecutive blocks:
+    The layout holds only the kind and the two factors; its sizes are
+    stored at construction and every index map is arithmetic on them, so
+    nothing of product size exists until ``product`` is read.  Global
+    indices come in three consecutive blocks:
 
     ======================  =========================  =====================
     block                   range                      index of member
@@ -216,28 +210,56 @@ class CoronaLayout:
     base vertices           ``[n1*m2+n1*n2, n)``       ``n1*m2 + n1*n2 + i``
     ======================  =========================  =====================
 
-    where ``e`` is an edge of the second factor, ``a`` one of its vertices
-    and ``i`` the owning first-factor vertex.
+    where ``e`` is an edge of the second factor, ``a`` one of its vertices,
+    ``i`` the owning first-factor vertex and ``n = n1 (1 + n2 + m2)``.
     """
 
     kind: str
     g1: Graph
     g2: Graph
-    product: Graph
 
-    # factor sizes, stored for convenience
+    # sizes, stored rather than derived: pair queries read them on every call
     n1: int = field(init=False)
     m1: int = field(init=False)
     n2: int = field(init=False)
     m2: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (VERTEX_KIND, EDGE_KIND):
             raise ValueError(f"unknown product kind {self.kind!r}")
-        object.__setattr__(self, "n1", self.g1.vertex_count)
+        n1, n2, m2 = self.g1.vertex_count, self.g2.vertex_count, self.g2.edge_count
+        object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "m1", self.g1.edge_count)
-        object.__setattr__(self, "n2", self.g2.vertex_count)
-        object.__setattr__(self, "m2", self.g2.edge_count)
+        object.__setattr__(self, "n2", n2)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "n", n1 * (1 + n2 + m2))
+
+    @cached_property
+    def product(self) -> Graph:
+        """The product graph, built on first read and then kept.
+
+        The gadget is ``S(G2)`` plus a root at position ``m2 + n2``, with
+        edge ``e = (a, b)`` joined to copy positions ``m2 + a`` and
+        ``m2 + b`` and the root joined to every copy position (vertex kind)
+        or every edge position (edge kind).  Its edges are lifted to each
+        owner ``i`` as ``p*n1 + i``, and the ``G1`` edges join the roots.
+        """
+        n1, m2, root = self.n1, self.m2, self.m2 + self.n2
+        ends = m2 + np.array(self.g2.edges, dtype=np.int64).reshape(-1, 2)
+        sub = np.arange(m2)
+        spokes = m2 + np.arange(self.n2) if self.kind == VERTEX_KIND else sub
+        gadget = np.concatenate(
+            [
+                np.column_stack([sub, ends[:, 0]]),
+                np.column_stack([sub, ends[:, 1]]),
+                np.column_stack([spokes, np.full(spokes.size, root)]),
+            ]
+        )
+        lifted = gadget[:, None, :] * n1 + np.arange(n1)[:, None]
+        roots = root * n1 + np.array(self.g1.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.concatenate([roots, lifted.reshape(-1, 2)])
+        return Graph(self.n, tuple(map(tuple, edges.tolist())))
 
     @property
     def subdivision_count(self) -> int:
@@ -246,10 +268,6 @@ class CoronaLayout:
     @property
     def copy_count(self) -> int:
         return self.n1 * self.n2
-
-    @property
-    def base_count(self) -> int:
-        return self.n1
 
     def subdivision_index(self, e: int, i: int) -> int:
         if not 0 <= e < self.m2:
@@ -272,7 +290,7 @@ class CoronaLayout:
 
     def classify(self, v: int) -> Coord:
         """Inverse of the index maps: (class, local index, copy owner)."""
-        if not 0 <= v < self.product.vertex_count:
+        if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
         if v < self.subdivision_count:
             return (SUBDIVISION, v // self.n1, v % self.n1)
@@ -297,46 +315,19 @@ class CoronaLayout:
     def block_slices(self) -> tuple[slice, slice, slice]:
         s = self.subdivision_count
         c = self.copy_count
-        n = self.product.vertex_count
-        return slice(0, s), slice(s, s + c), slice(s + c, n)
+        return slice(0, s), slice(s, s + c), slice(s + c, self.n)
 
 
 def corona(g1: Graph, g2: Graph, kind: str) -> CoronaLayout:
-    """The ``kind`` product ("vertex" or "edge") of ``g1`` and ``g2`` with its layout.
+    """The layout of the ``kind`` product ("vertex" or "edge") of ``g1`` and ``g2``.
 
+    The product graph itself is built on the first read of ``.product``.
     Raises ``PreconditionError`` when ``g1`` is empty and ``ValueError``
     for an unknown kind.
     """
     if g1.vertex_count == 0:
         raise PreconditionError("corona product needs a nonempty first factor")
-    n1 = g1.vertex_count
-    n2, m2 = g2.vertex_count, g2.edge_count
-    total = n1 * (1 + n2 + m2)
-
-    def sub(e: int, i: int) -> int:
-        return e * n1 + i
-
-    def cop(a: int, i: int) -> int:
-        return n1 * m2 + a * n1 + i
-
-    def base(i: int) -> int:
-        return n1 * m2 + n1 * n2 + i
-
-    edges: list[tuple[int, int]] = []
-    for u, v in g1.edges:
-        edges.append((base(u), base(v)))
-    for i in range(n1):
-        for e, (a, b) in enumerate(g2.edges):
-            edges.append((sub(e, i), cop(a, i)))
-            edges.append((sub(e, i), cop(b, i)))
-        if kind == VERTEX_KIND:
-            for a in range(n2):
-                edges.append((base(i), cop(a, i)))
-        else:
-            for e in range(m2):
-                edges.append((base(i), sub(e, i)))
-    product = Graph(total, tuple(edges))
-    return CoronaLayout(kind=kind, g1=g1, g2=g2, product=product)
+    return CoronaLayout(kind=kind, g1=g1, g2=g2)
 
 
 def corona_vertex(g1: Graph, g2: Graph) -> CoronaLayout:

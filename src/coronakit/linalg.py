@@ -1,10 +1,9 @@
 """Dense symmetric matrix kit for Laplacian algebra.
 
 Thin contract-checked wrappers over NumPy and SciPy primitives, plus the
-two specialized inverses everything else is built from: the group inverse
-of a connected graph's Laplacian, from one Cholesky factorization of its
-rank-one shift, and a symmetric {1}-inverse of a 2x2 symmetric block matrix
-through its Schur complement.
+specialized inverse everything else is built from: the group inverse of a
+connected graph's Laplacian, from one Cholesky factorization of its
+rank-one shift.
 
 Matrices are float64 ndarrays throughout; functions are pure and never
 mutate their inputs.
@@ -98,43 +97,12 @@ def inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), np.eye(n))
 
 
-def solve(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Solve ``a @ x = b`` for nonsingular ``a``."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"cannot solve with non-square shape {m.shape}")
-    rhs = np.asarray(b, dtype=np.float64)
-    if m.shape[0] == 0:
-        return np.zeros(rhs.shape)
-    lu, piv = _lu_with_pivot_check(m, tol, "matrix")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
-
-
 def symmetric_eigenvalues(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending."""
     m = require_symmetric(a, tol)
     if m.size == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(m)
-
-
-def symmetric_pseudo_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
-
-    Eigenvalues of magnitude at most ``tol.entry * max(1, |lambda|_max)``
-    are treated as exact zeros, so singular Schur complements of Laplacian
-    blocks are handled without regularization.
-    """
-    m = require_symmetric(a, tol)
-    if m.size == 0:
-        return np.zeros((0, 0))
-    w, v = np.linalg.eigh(m)
-    cutoff = tol.entry * max(1.0, float(np.abs(w).max()))
-    keep = np.abs(w) > cutoff
-    inv_w = np.zeros_like(w)
-    inv_w[keep] = 1.0 / w[keep]
-    x = (v * inv_w) @ v.T
-    return 0.5 * (x + x.T)
 
 
 def group_inverse_laplacian(lap, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -179,29 +147,3 @@ def group_inverse_laplacian(lap, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
     x -= 1.0 / n
     # x is symmetric, so its transpose is the same matrix in row-major order
     return x.T
-
-
-def block_one_inverse(l1, l2, l3, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Symmetric {1}-inverse of ``[[L1, L2], [L2.T, L3]]`` with L1 nonsingular.
-
-    Uses the Schur complement ``S = L3 - L2.T L1^-1 L2`` and its spectral
-    pseudo-inverse, so a singular S (the generic case for Laplacian
-    splits) needs no special handling.  The result X satisfies
-    ``M X M = M`` for the assembled block matrix M.
-    """
-    a = require_symmetric(l1, tol, "L1")
-    d = require_symmetric(l3, tol, "L3")
-    b = as_matrix(l2)
-    p, q = a.shape[0], d.shape[0]
-    if b.shape != (p, q):
-        raise ValueError(f"off-diagonal block must have shape {(p, q)}, got {b.shape}")
-    a_inv = inverse(a, tol)
-    s = d - b.T @ a_inv @ b
-    s_pinv = symmetric_pseudo_inverse(0.5 * (s + s.T), tol)
-    coupling = a_inv @ b @ s_pinv
-    x = np.zeros((p + q, p + q))
-    x[:p, :p] = a_inv + coupling @ b.T @ a_inv
-    x[:p, p:] = -coupling
-    x[p:, :p] = -coupling.T
-    x[p:, p:] = s_pinv
-    return 0.5 * (x + x.T)

@@ -159,9 +159,8 @@ def laplacian_of_product(layout: CoronaLayout) -> np.ndarray:
     r2mat = incidence_matrix(g2)
     l1 = laplacian(g1)
 
-    n = layout.product.vertex_count
     sub, cop, bas = layout.block_slices()
-    lap = np.zeros((n, n))
+    lap = np.zeros((layout.n, layout.n))
     lap[sub, cop] = kron(-r2mat.T, eye1)
     lap[cop, sub] = kron(-r2mat, eye1)
     if layout.kind == VERTEX_KIND:

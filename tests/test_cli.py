@@ -328,6 +328,21 @@ class TestVerify:
         assert main([]) == 2
 
 
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rejected_argv_leaves_parser_reusable(self, tmp_path, k1, k2, capsys):
+        argv = ["resistance", "--kind", "vertex", "--g1", k1, "--g2", k2, "--method", "both"]
+        alone, after = tmp_path / "alone.json", tmp_path / "after.json"
+        cli.build_parser.cache_clear()
+        assert main(argv + ["--out", str(alone)]) == 0
+        cli.build_parser.cache_clear()
+        assert main(["resistance", "--kind", "line", "--g1", k1, "--g2", k2]) == 2
+        assert main(argv + ["--out", str(after)]) == 0
+        assert after.read_bytes() == alone.read_bytes()
+
+
 class TestSubprocess:
     def test_console_entry_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import connected_graphs, graphs
 from coronakit import (
@@ -23,12 +24,38 @@ from coronakit import (
     is_connected,
     is_regular,
     laplacian,
-    line_graph,
     parse_edge_list,
     path_graph,
     star_graph,
     subdivision,
 )
+
+
+def triple_loop_corona(g1: Graph, g2: Graph, kind: str) -> Graph:
+    # the product as first built, one owner and one gadget edge at a time;
+    # kept as the reference for the lifted gadget edge list
+    n1 = g1.vertex_count
+    n2, m2 = g2.vertex_count, g2.edge_count
+
+    def sub(e, i):
+        return e * n1 + i
+
+    def cop(a, i):
+        return n1 * m2 + a * n1 + i
+
+    def base(i):
+        return n1 * m2 + n1 * n2 + i
+
+    edges = [(base(u), base(v)) for u, v in g1.edges]
+    for i in range(n1):
+        for e, (a, b) in enumerate(g2.edges):
+            edges.append((sub(e, i), cop(a, i)))
+            edges.append((sub(e, i), cop(b, i)))
+        if kind == "vertex":
+            edges.extend((base(i), cop(a, i)) for a in range(n2))
+        else:
+            edges.extend((base(i), sub(e, i)) for e in range(m2))
+    return Graph(n1 * (1 + n2 + m2), tuple(edges))
 
 
 def two_colorable(g: Graph) -> bool:
@@ -122,10 +149,15 @@ class TestMatrices:
 
     @given(graphs())
     def test_line_graph_identity(self, g):
-        # R^T R = A(line graph) + 2I
+        # R^T R = A(line graph) + 2I: edges are adjacent in the line graph
+        # exactly when they share an endpoint
         r = incidence_matrix(g)
-        expect = adjacency_matrix(line_graph(g)) + 2.0 * np.eye(g.edge_count)
-        assert np.array_equal(r.T @ r, expect)
+        m = g.edge_count
+        shared = np.zeros((m, m))
+        for e, f in itertools.permutations(range(m), 2):
+            if set(g.edges[e]) & set(g.edges[f]):
+                shared[e, f] = 1.0
+        assert np.array_equal(r.T @ r, shared + 2.0 * np.eye(m))
 
 
 class TestDerivedGraphs:
@@ -141,11 +173,6 @@ class TestDerivedGraphs:
         assert s.vertex_count == g.vertex_count + g.edge_count
         assert s.edge_count == 2 * g.edge_count
         assert two_colorable(s)
-
-    def test_line_graph_examples(self):
-        assert line_graph(path_graph(4)).edges == ((0, 1), (1, 2))
-        assert line_graph(complete_graph(3)).edge_count == 3
-        assert line_graph(star_graph(3)).edge_count == 3
 
 
 class TestPredicates:
@@ -168,6 +195,19 @@ class TestCorona:
     def test_kind_dispatch_matches_named_products(self, g1, g2):
         assert corona(g1, g2, "vertex") == corona_vertex(g1, g2)
         assert corona(g1, g2, "edge") == corona_edge(g1, g2)
+
+    @given(connected_graphs(max_vertices=4), graphs(max_vertices=5))
+    @example(Graph(1), complete_graph(3))  # n1 = 1
+    @example(path_graph(3), Graph(4))  # m2 = 0
+    @example(cycle_graph(3), Graph(5, ((0, 3), (1, 3))))  # G2 with isolated vertices
+    @example(star_graph(2), Graph(0))  # empty G2: the product is G1
+    def test_lifted_product_matches_triple_loop(self, g1, g2):
+        for kind in ("vertex", "edge"):
+            layout = corona(g1, g2, kind)
+            assert "product" not in layout.__dict__
+            assert layout.product.edges == triple_loop_corona(g1, g2, kind).edges
+            assert layout.n == layout.product.vertex_count
+            assert layout.product is layout.product
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

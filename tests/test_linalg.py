@@ -11,7 +11,6 @@ from coronakit import (
     PreconditionError,
     SingularMatrixError,
     Tolerances,
-    block_one_inverse,
     complete_graph,
     cycle_graph,
     group_inverse_laplacian,
@@ -19,13 +18,8 @@ from coronakit import (
     kron,
     laplacian,
     path_graph,
-    solve,
     symmetric_eigenvalues,
-    symmetric_pseudo_inverse,
 )
-
-RNG = np.random.default_rng(20240817)
-
 
 def disjoint_union(*gs):
     edges, offset = [], 0
@@ -93,12 +87,6 @@ class TestInverse:
     def test_empty(self):
         assert inverse(np.zeros((0, 0))).shape == (0, 0)
 
-    def test_solve(self):
-        a = RNG.normal(size=(5, 5)) + 5.0 * np.eye(5)
-        b = RNG.normal(size=5)
-        x = solve(a, b)
-        assert np.allclose(a @ x, b, atol=1e-10)
-
 
 class TestEigenvalues:
     def test_cycle_spectrum(self):
@@ -122,19 +110,6 @@ class TestEigenvalues:
         assert abs(np.prod(ev_path[1:]) - 3.0) < 1e-10
         ev_cycle = symmetric_eigenvalues(laplacian(cycle_graph(3)))
         assert abs(np.prod(ev_cycle[1:]) - 9.0) < 1e-10
-
-
-class TestPseudoInverse:
-    def test_k2_laplacian(self):
-        out = symmetric_pseudo_inverse(laplacian(complete_graph(2)))
-        assert np.allclose(out, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-14)
-
-    @given(connected_graphs(max_vertices=6))
-    def test_penrose_identities(self, g):
-        m = laplacian(g)
-        x = symmetric_pseudo_inverse(m)
-        assert np.allclose(m @ x @ m, m, atol=1e-8)
-        assert np.allclose(x @ m @ x, x, atol=1e-8)
 
 
 class TestGroupInverse:
@@ -187,34 +162,3 @@ class TestGroupInverse:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             group_inverse_laplacian([[1.0, -1.0], [0.0, 0.0]])
-
-
-class TestBlockOneInverse:
-    def test_path_split(self):
-        lap = laplacian(path_graph(3))
-        x = block_one_inverse(lap[:2, :2], lap[:2, 2:], lap[2:, 2:])
-        assert np.abs(lap @ x @ lap - lap).max() <= 1e-10
-        assert np.array_equal(x, x.T)
-
-    def test_nonsingular_blocks_give_plain_inverse(self):
-        m = RNG.normal(size=(6, 6))
-        m = m @ m.T + 6.0 * np.eye(6)
-        x = block_one_inverse(m[:4, :4], m[:4, 4:], m[4:, 4:])
-        assert np.allclose(x, np.linalg.inv(m), atol=1e-8)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            block_one_inverse(np.eye(2), np.zeros((3, 2)), np.eye(2))
-
-    def test_singular_top_left_rejected(self):
-        lap = laplacian(path_graph(4))
-        with pytest.raises(SingularMatrixError):
-            block_one_inverse(lap, np.zeros((4, 1)), np.zeros((1, 1)))
-
-    @given(connected_graphs(min_vertices=2, max_vertices=7), st.data())
-    def test_laplacian_splits(self, g, data):
-        lap = laplacian(g)
-        n = g.vertex_count
-        k = data.draw(st.integers(1, n - 1))
-        x = block_one_inverse(lap[:k, :k], lap[:k, k:], lap[k:, k:])
-        assert np.abs(lap @ x @ lap - lap).max() <= 1e-8

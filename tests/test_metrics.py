@@ -15,7 +15,6 @@ from coronakit import (
     Graph,
     PreconditionError,
     adjacency_matrix,
-    block_one_inverse,
     closed_form_resistance_matrix,
     complete_graph,
     corona,
@@ -40,7 +39,6 @@ from coronakit import (
     one_inverse_vertex_corona,
     path_graph,
     resistance_edge_corona,
-    resistance_from_one_inverse,
     resistance_matrix_from_one_inverse,
     resistance_oracle,
     resistance_vertex_corona,
@@ -51,7 +49,7 @@ from coronakit import (
 class TestOracle:
     def test_single_edge(self):
         x = group_inverse_laplacian(laplacian(complete_graph(2)))
-        assert resistance_from_one_inverse(x, 0, 1) == pytest.approx(1.0, abs=1e-14)
+        assert resistance_matrix_from_one_inverse(x)[0, 1] == pytest.approx(1.0, abs=1e-14)
 
     def test_four_cycle_pattern(self):
         r = resistance_oracle(cycle_graph(4)).values
@@ -356,6 +354,8 @@ class TestKirchhoffClosedForms:
             - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
         )
         assert kf_vertex_corona(g1, g2).value == pytest.approx(vertex, rel=1e-12)
+        # the shifted sums are now the traces of the inverses already held
+        assert np.trace(q_inv) == pytest.approx(np.sum(1.0 / (mu + 2.0)), rel=1e-13)
 
         r2 = is_regular(g2)
         c_inv = np.linalg.inv(laplacian(g2) + r2 * np.eye(n2))
@@ -368,6 +368,7 @@ class TestKirchhoffClosedForms:
         )
         edge = total * bracket - (n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2) / (3.0 * r2)
         assert kf_edge_corona_regular(g1, g2).value == pytest.approx(edge, rel=1e-12)
+        assert np.trace(c_inv) == pytest.approx(shifted_sum, rel=1e-13)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -393,14 +394,18 @@ class TestProperties:
 
     @given(connected_graphs(min_vertices=2, max_vertices=6), st.data())
     def test_any_one_inverse_gives_same_resistances(self, g, data):
-        # resistances must not depend on which {1}-inverse is used
+        # resistances must not depend on which {1}-inverse is used: since
+        # L 1 = 0, S# + 1a' + b1' is a {1}-inverse too, and not symmetric
         lap = laplacian(g)
         n = g.vertex_count
-        k = data.draw(st.integers(1, n - 1))
-        from_group = resistance_matrix_from_one_inverse(group_inverse_laplacian(lap))
-        split = block_one_inverse(lap[:k, :k], lap[:k, k:], lap[k:, k:])
-        from_split = resistance_matrix_from_one_inverse(split)
-        assert np.abs(from_group - from_split).max() <= 1e-9
+        coeffs = st.lists(st.floats(-3, 3, allow_nan=False), min_size=n, max_size=n)
+        a, b = np.array(data.draw(coeffs)), np.array(data.draw(coeffs))
+        s_sharp = group_inverse_laplacian(lap)
+        other = s_sharp + np.outer(np.ones(n), a) + np.outer(b, np.ones(n))
+        assert np.abs(lap @ other @ lap - lap).max() <= 1e-8
+        from_group = resistance_matrix_from_one_inverse(s_sharp)
+        from_other = resistance_matrix_from_one_inverse(other)
+        assert np.abs(from_group - from_other).max() <= 1e-9
 
     @given(st.sampled_from(["K2", "P3", "C3"]), st.sampled_from(["K1", "K2", "C3"]))
     def test_product_routes_agree(self, a, b):

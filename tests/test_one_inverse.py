@@ -19,6 +19,8 @@ from coronakit import (
     one_inverse_vertex_corona,
     path_graph,
 )
+from coronakit import metrics
+from coronakit.one_inverse import one_inverse_corona
 from coronakit.verify import CORPUS_G1, CORPUS_G2
 
 
@@ -79,15 +81,30 @@ def test_block_shapes():
     assert np.array_equal(x[cop, bas], np.tile(oi.s_sharp, (n2, 1)))
 
 
-def test_stores_no_product_size_array():
-    # 5550 product vertices; only factor- and gadget-sized pieces are kept
+def test_stores_no_product_size_array(monkeypatch):
+    # 5550 product vertices; only factor- and gadget-sized pieces are kept,
+    # and the product graph is never built
     g1, g2 = cycle_graph(150), complete_graph(8)
     oi = one_inverse_vertex_corona(g1, g2)
     b = g2.edge_count + g2.vertex_count + 1
-    assert oi.layout.product.vertex_count == 5550
+    assert oi.layout.n == 5550
+    assert "product" not in oi.layout.__dict__
     arrays = [v for v in vars(oi).values() if isinstance(v, np.ndarray)]
     assert arrays
     assert max(a.size for a in arrays) <= max(b, g1.vertex_count) ** 2
+
+    # the full matrix is product-size by design, so it is taken on a smaller
+    # product; the layout it was broadcast over still holds no graph
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(one_inverse_corona(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(metrics, "one_inverse_corona", recording)
+    values = metrics.closed_form_resistance_matrix(cycle_graph(15), g2, "vertex").values
+    assert [x.layout.n for x in built] == [len(values)] == [555]
+    assert "product" not in built[0].layout.__dict__
 
 
 def test_shifted_inverse_ones_vector_identities():
