@@ -82,10 +82,18 @@ def resistance_oracle(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> Resista
 
 
 def one_inverse_resistance_matrix(
-    g1: Graph, g2: Graph, kind: str, tol: Tolerances = DEFAULT_TOLERANCES
+    g1: Graph,
+    g2: Graph,
+    kind: str,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    one_inv: OneInverse | None = None,
 ) -> ResistanceMatrix:
-    """Resistance matrix read directly off the materialized product-size {1}-inverse."""
-    oi = one_inverse_corona(g1, g2, kind, tol)
+    """Resistance matrix read directly off the materialized product-size {1}-inverse.
+
+    ``one_inv``, when given, is the product's ``OneInverse`` and is used
+    instead of assembling a new one.
+    """
+    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind, tol)
     return ResistanceMatrix(
         values=resistance_matrix_from_one_inverse(oi.matrix),
         provenance=f"one-inverse-{kind}",
@@ -137,39 +145,52 @@ def resistance_edge_corona(
 
 
 def closed_form_resistance_matrix(
-    g1: Graph, g2: Graph, kind: str, tol: Tolerances = DEFAULT_TOLERANCES
+    g1: Graph,
+    g2: Graph,
+    kind: str,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    one_inv: OneInverse | None = None,
 ) -> ResistanceMatrix:
-    """Full resistance matrix from the closed-form expression, broadcast over all pairs."""
-    oi = one_inverse_corona(g1, g2, kind, tol)
+    """Full resistance matrix from the closed-form expression, broadcast over all pairs.
+
+    ``one_inv``, when given, is the product's ``OneInverse`` and is used
+    instead of assembling a new one.
+    """
+    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind, tol)
     v = np.arange(oi.layout.n)
     return ResistanceMatrix(values=_resistance(oi, v[:, None], v), provenance="closed-form")
 
 
-def vertex_copy_resistance_alt(
-    g2: Graph, a: int, b: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def _float_or_array(value):
+    # a query on single indices gives a float, on index arrays the broadcast array
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def vertex_copy_resistance_alt(g2: Graph, a, b, tol: Tolerances = DEFAULT_TOLERANCES):
     """Same-copy resistance variant with a halved cross coefficient.
 
-    Kept only so verification can report how far this variant drifts from
-    the oracle; the shipped dispatch never uses it.
+    ``a`` and ``b`` are second-factor vertices: single indices give a float,
+    broadcastable index arrays give the variant for every pair at once, read
+    off one shifted inverse.  Kept only so verification can report how far
+    this variant drifts from the oracle; the shipped dispatch never uses it.
     """
     q = inverse(laplacian(g2) + 2.0 * np.eye(g2.vertex_count), tol)
-    return float(2.0 * q[a, a] + 2.0 * q[b, b] - 2.0 * q[a, b])
+    return _float_or_array(2.0 * q[a, a] + 2.0 * q[b, b] - 2.0 * q[a, b])
 
 
-def edge_copy_resistance_alt(
-    g2: Graph, a: int, b: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def edge_copy_resistance_alt(g2: Graph, a, b, tol: Tolerances = DEFAULT_TOLERANCES):
     """Same-copy resistance variant reading a three-fold shifted inverse.
 
-    Differs from the shipped value by a factor of nine; reported by
-    verification as an informational discrepancy row.
+    Takes single indices or broadcastable index arrays, as
+    ``vertex_copy_resistance_alt`` does.  Differs from the shipped value by
+    a factor of nine; reported by verification as an informational
+    discrepancy row.
     """
     r2 = is_regular(g2)
     if r2 is None or r2 < 1:
         raise PreconditionError("variant needs a regular second factor of degree at least 1")
     q = inverse(3.0 * (laplacian(g2) + float(r2) * np.eye(g2.vertex_count)), tol)
-    return float(q[a, a] + q[b, b] - 2.0 * q[a, b])
+    return _float_or_array(q[a, a] + q[b, b] - 2.0 * q[a, b])
 
 
 def neighbor_identity_check(g: Graph, values) -> float:
@@ -181,24 +202,35 @@ def neighbor_identity_check(g: Graph, values) -> float:
         r_ij = (1 + sum_{k in T(i)} r_kj - (1/d_i) * P_i) / d_i
 
     where ``P_i`` sums r_kl over unordered neighbor pairs {k, l} of i,
-    each pair counted once.  Returns the maximum absolute deviation.
+    each pair counted once.  Every (i, j) is evaluated at once from the
+    dense adjacency matrix A: the neighbor sums are ``A r`` and
+    ``P = diag(A triu(r, 1) A)``.  Vertices of degree 0 and the diagonal
+    count as deviation 0, and a graph without vertices gives 0.0.  Returns
+    the maximum absolute deviation.
     """
     r = values.values if isinstance(values, ResistanceMatrix) else np.asarray(values, dtype=np.float64)
     n = g.vertex_count
     if r.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix, got shape {r.shape}")
-    worst = 0.0
-    for i in range(n):
-        nbrs = list(g.neighbors(i))
-        d = len(nbrs)
-        if d == 0:
-            continue
-        pair_sum = r[np.ix_(nbrs, nbrs)][np.triu_indices(d, 1)].sum()
-        rhs = (1.0 + r[nbrs].sum(axis=0) - pair_sum / d) / d
-        dev = np.abs(r[i] - rhs)
-        dev[i] = 0.0
-        worst = max(worst, float(dev.max()))
-    return worst
+    if n == 0:
+        return 0.0
+    a = adjacency_matrix(g)
+    d = a.sum(axis=1)
+    isolated = d == 0
+    d[isolated] = 1.0  # their rows are zeroed at the end; this only avoids 0 / 0
+    # P_i = sum_k A_ik (triu(r, 1) A)_ki; the one buffer then takes A r in place
+    rhs = np.triu(r, 1) @ a
+    rhs *= a
+    pair_sum = rhs.sum(axis=0)
+    np.matmul(a, r, out=rhs)
+    rhs += 1.0
+    rhs -= (pair_sum / d)[:, None]
+    rhs /= d[:, None]
+    rhs -= r
+    np.abs(rhs, out=rhs)
+    np.fill_diagonal(rhs, 0.0)
+    rhs[isolated] = 0.0
+    return float(rhs.max())
 
 
 def metric_violation(values) -> float:

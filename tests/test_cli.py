@@ -318,6 +318,19 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert payload["status_counts"]["skip"] == 0
 
+    def test_empty_second_factor_passes(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--corpus", "none", "--pair", "K2", "K0", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["status_counts"] == {"pass": 18, "fail": 0, "skip": 14, "info": 0}
+
+    @pytest.mark.parametrize("pair", [["K0", "K2"], ["P0", "P0"]])
+    def test_empty_first_factor_is_precondition_violation(self, tmp_path, capsys, pair):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--corpus", "none", "--pair", *pair, "--out", str(out)]) == 3
+        assert "nonempty first factor" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corpus_none_needs_pairs(self, capsys):
         assert main(["verify", "--corpus", "none"]) == 2
 

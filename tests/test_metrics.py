@@ -204,21 +204,29 @@ class TestNeighborIdentity:
             neighbor_identity_check(cycle_graph(4), np.zeros((3, 3)))
 
     def test_row_form_matches_pairwise_loop(self):
-        # reference: the identity evaluated one (i, j) pair at a time
-        g = corona_vertex(named_graph("S3"), named_graph("C4")).product
+        # reference: the identity evaluated one (i, j) pair at a time, skipping
+        # vertices of degree 0
+        graphs = (
+            corona_vertex(named_graph("S3"), named_graph("C4")).product,
+            Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))),  # vertex 5 is isolated
+            Graph(0),
+        )
         rng = np.random.default_rng(3)
-        r = rng.random((g.vertex_count,) * 2)
-        want = 0.0
-        for i in range(g.vertex_count):
-            nbrs = g.neighbors(i)
-            d = len(nbrs)
-            pair_sum = sum(r[k, l] for k, l in itertools.combinations(nbrs, 2))
-            for j in range(g.vertex_count):
-                if j != i:
-                    rhs = (1.0 + sum(r[k, j] for k in nbrs) - pair_sum / d) / d
-                    want = max(want, abs(r[i, j] - rhs))
-        assert want > 0.1
-        assert neighbor_identity_check(g, r) == pytest.approx(want, rel=1e-12)
+        for g in graphs:
+            r = rng.random((g.vertex_count,) * 2)
+            want = 0.0
+            for i in range(g.vertex_count):
+                nbrs = g.neighbors(i)
+                d = len(nbrs)
+                if d == 0:
+                    continue
+                pair_sum = sum(r[k, l] for k, l in itertools.combinations(nbrs, 2))
+                for j in range(g.vertex_count):
+                    if j != i:
+                        rhs = (1.0 + sum(r[k, j] for k in nbrs) - pair_sum / d) / d
+                        want = max(want, abs(r[i, j] - rhs))
+            assert want > 0.1 or g.vertex_count == 0
+            assert neighbor_identity_check(g, r) == pytest.approx(want, rel=1e-12)
 
 
 class TestMetricAxioms:

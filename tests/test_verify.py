@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from coronakit import (
+    PreconditionError,
     builtin_pairs,
     complete_graph,
+    corona,
     cycle_graph,
+    edge_copy_resistance_alt,
     named_graph,
     path_graph,
     report_to_dict,
+    resistance_oracle,
     run_verification,
     star_graph,
+    vertex_copy_resistance_alt,
 )
+from coronakit import linalg, metrics, one_inverse, verify
+
+ALT = {"vertex": vertex_copy_resistance_alt, "edge": edge_copy_resistance_alt}
 
 
 class TestNamedGraph:
@@ -134,3 +143,95 @@ class TestReportDict:
                 "tolerance",
                 "note",
             ]
+
+
+class TestEmptyFactor:
+    def test_empty_second_factor_is_verified(self):
+        # the vertex product of K2 with the empty graph is K2 itself
+        report = run_verification(pairs=[("K2", "K0")], include_instances=False)
+        assert report.passed
+        assert report_to_dict(report)["status_counts"] == {"pass": 18, "fail": 0, "skip": 14, "info": 0}
+        rows = {c.case_id: c for c in report.cases}
+        assert (rows["group-inverse/factor/K0"].status, rows["group-inverse/factor/K0"].note) == (
+            "skip",
+            "empty graph",
+        )
+        assert rows["counts/vertex/K2-K0/vertices"].oracle == 2.0
+        assert rows["resistance-closed-form/vertex/K2-K0"].status == "pass"
+        assert rows["kirchhoff-closed-form/vertex/K2-K0"].status == "pass"
+
+    @pytest.mark.parametrize("pair", [("K0", "K2"), ("P0", "P0")])
+    def test_empty_first_factor_is_a_precondition_violation(self, pair):
+        with pytest.raises(PreconditionError, match="nonempty first factor"):
+            run_verification(pairs=[pair], include_instances=False)
+
+
+class TestOneInversionPerProduct:
+    def test_each_product_is_assembled_and_inverted_once(self, monkeypatch):
+        assemblies, sizes = [], []
+
+        def recording_assembly(*args, **kwargs):
+            assemblies.append(one_inverse.one_inverse_corona(*args, **kwargs))
+            return assemblies[-1]
+
+        def recording_group_inverse(lap, *args, **kwargs):
+            sizes.append(len(lap))
+            return linalg.group_inverse_laplacian(lap, *args, **kwargs)
+
+        for module in (verify, metrics):
+            monkeypatch.setattr(module, "one_inverse_corona", recording_assembly)
+        for module in (verify, metrics, one_inverse):
+            monkeypatch.setattr(module, "group_inverse_laplacian", recording_group_inverse)
+        report = run_verification(pairs=[("P3", "C4")], include_instances=False)
+        assert report.passed
+        # both products of P3 and C4 have 27 vertices; the factors have 3 and 4
+        assert [(oi.kind, oi.layout.n) for oi in assemblies] == [("vertex", 27), ("edge", 27)]
+        assert sizes.count(27) == 2
+        assert set(sizes) == {3, 4, 27}
+
+
+def _copy_pair_reference(g1, g2, kind):
+    # the per-pair loop the copy-pair-alt row once ran: the last pair of largest drift
+    layout = corona(g1, g2, kind)
+    r = resistance_oracle(layout.product).values
+    worst, devs = (0.0, None, None), []
+    for a in range(g2.vertex_count):
+        for b in range(a + 1, g2.vertex_count):
+            alt = ALT[kind](g2, a, b)
+            true = r[layout.copy_index(a, 0), layout.copy_index(b, 0)]
+            dev = abs(alt - true)
+            devs.append(dev)
+            if dev >= worst[0]:
+                worst = (dev, alt, float(true))
+    return worst, devs.count(worst[0])
+
+
+class TestCopyPairRow:
+    @pytest.mark.parametrize("pair", [("K2", "C4"), ("K2", "K4"), ("P3", "C5")])
+    def test_row_matches_pairwise_loop(self, pair):
+        report = run_verification(pairs=[pair], include_instances=False)
+        rows = {c.case_id: c for c in report.cases}
+        most_ties = 0
+        for kind in ("vertex", "edge"):
+            (dev, alt, true), ties = _copy_pair_reference(*map(named_graph, pair), kind)
+            most_ties = max(most_ties, ties)
+            row = rows[f"copy-pair-alt/{kind}/{pair[0]}-{pair[1]}"]
+            assert row.status == "info"
+            assert (row.deviation, row.closed_form, row.oracle) == (dev, alt, true)
+        if pair == ("K2", "C4"):
+            assert most_ties >= 2  # the largest drift is reached by more than one pair
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    @pytest.mark.parametrize("name", ["K2", "C4", "K4", "C5"])
+    def test_array_call_matches_scalar_calls(self, kind, name):
+        g2 = named_graph(name)
+        a, b = np.triu_indices(g2.vertex_count, 1)
+        values = ALT[kind](g2, a, b)
+        scalars = [ALT[kind](g2, int(i), int(j)) for i, j in zip(a, b)]
+        assert all(type(v) is float for v in scalars)
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == scalars
+        # broadcast index arrays give the full pair matrix
+        v = np.arange(g2.vertex_count)
+        grid = ALT[kind](g2, v[:, None], v)
+        assert grid[a, b].tolist() == scalars
