@@ -30,8 +30,9 @@ from .graphs import (
     subdivision,
 )
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    ENTRY_TOL,
+    RESIDUAL_TOL,
+    SYMMETRY_TOL,
     group_inverse_laplacian,
     inverse,
     kron,
@@ -39,7 +40,6 @@ from .linalg import (
 )
 from .metrics import (
     KirchhoffResult,
-    ResistanceMatrix,
     closed_form_resistance_matrix,
     edge_copy_resistance_alt,
     kf_edge_corona_regular,
@@ -49,7 +49,6 @@ from .metrics import (
     kirchhoff_pair_sum,
     metric_violation,
     neighbor_identity_check,
-    one_inverse_resistance_matrix,
     resistance_edge_corona,
     resistance_matrix_from_one_inverse,
     resistance_oracle,

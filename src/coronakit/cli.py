@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CoronaKitError, EdgeListError, PreconditionError, SingularMatrixError
 from .graphs import CoronaLayout, Graph, corona, format_edge_list, parse_edge_list
-from .linalg import DEFAULT_TOLERANCES
+from .linalg import ENTRY_TOL, RESIDUAL_TOL
 from .metrics import (
     closed_form_resistance_matrix,
     kf_edge_corona_regular,
@@ -161,7 +161,7 @@ def cmd_build(args) -> int:
     layout = corona(g1, g2, args.kind)
     edge_text = format_edge_list(layout.product)
     manifest_text = render_json(layout_manifest(layout))
-    if args.out:
+    if args.out and args.out != "-":
         _write_text(edge_text, args.out)
         manifest_path = args.manifest if args.manifest else args.out + ".manifest.json"
         _write_text(manifest_text, manifest_path)
@@ -179,7 +179,7 @@ def cmd_resistance(args) -> int:
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
     layout = corona(g1, g2, args.kind)
-    bound = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES.entry
+    bound = args.tolerance if args.tolerance is not None else ENTRY_TOL
 
     payload: dict = {
         "command": "resistance",
@@ -189,14 +189,12 @@ def cmd_resistance(args) -> int:
     }
     exit_code = EXIT_OK
     if args.method == "oracle":
-        values = resistance_oracle(layout.product).values
-        payload["matrix"] = values
+        payload["matrix"] = resistance_oracle(layout.product)
     elif args.method == "closed-form":
-        values = closed_form_resistance_matrix(g1, g2, args.kind).values
-        payload["matrix"] = values
+        payload["matrix"] = closed_form_resistance_matrix(g1, g2, args.kind)
     else:
-        closed = closed_form_resistance_matrix(g1, g2, args.kind).values
-        oracle = resistance_oracle(layout.product).values
+        closed = closed_form_resistance_matrix(g1, g2, args.kind)
+        oracle = resistance_oracle(layout.product)
         deviation = float(np.abs(closed - oracle).max()) if closed.size else 0.0
         payload["closed_form"] = closed
         payload["oracle"] = oracle
@@ -249,7 +247,7 @@ def cmd_kirchhoff(args) -> int:
     bound = (
         args.tolerance
         if args.tolerance is not None
-        else DEFAULT_TOLERANCES.residual * (1.0 + abs(oracle.value))
+        else RESIDUAL_TOL * (1.0 + abs(oracle.value))
     )
     payload = {
         "command": "kirchhoff",

@@ -11,41 +11,21 @@ mutate their inputs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import PreconditionError, SingularMatrixError
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Shared numerical thresholds.
-
-    Attributes
-    ----------
-    entry : float
-        Scale for pivot and spectral-rank cutoffs and for per-entry
-        agreement of two routes to the same quantity.
-    residual : float
-        Acceptable magnitude for defining-identity residuals such as
-        ``|M X M - M|``.
-    symmetry : float
-        Largest absolute asymmetry accepted before a nominally symmetric
-        input is rejected.
-    """
-
-    entry: float = 1e-9
-    residual: float = 1e-8
-    symmetry: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if min(self.entry, self.residual, self.symmetry) <= 0.0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Numerical thresholds shared by every module.
+# Scale for pivot and spectral-rank cutoffs and for per-entry agreement of two
+# routes to the same quantity.
+ENTRY_TOL = 1e-9
+# Acceptable magnitude for defining-identity residuals such as |M X M - M|.
+RESIDUAL_TOL = 1e-8
+# Largest absolute asymmetry accepted before a nominally symmetric input is
+# rejected.
+SYMMETRY_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -55,12 +35,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def require_symmetric(a, tol: Tolerances = DEFAULT_TOLERANCES, what: str = "matrix") -> np.ndarray:
+def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    if m.size and float(np.abs(m - m.T).max()) > tol.symmetry:
-        raise ValueError(f"{what} is not symmetric to within {tol.symmetry}")
+    if m.size and float(np.abs(m - m.T).max()) > SYMMETRY_TOL:
+        raise ValueError(f"{what} is not symmetric to within {SYMMETRY_TOL}")
     return m
 
 
@@ -69,23 +49,23 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _lu_with_pivot_check(a: np.ndarray, tol: Tolerances, what: str):
-    # partial-pivoted LU; a pivot below entry-tolerance scale means singular
+def _lu_with_pivot_check(a: np.ndarray, what: str):
+    # partial-pivoted LU; a pivot below ENTRY_TOL scale means singular
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a)
     diag = np.abs(np.diag(lu))
-    bound = tol.entry * max(1.0, float(diag.max(initial=0.0)))
+    bound = ENTRY_TOL * max(1.0, float(diag.max(initial=0.0)))
     if diag.size and float(diag.min()) <= bound:
         raise SingularMatrixError(f"{what} is singular to working tolerance")
     return lu, piv
 
 
-def inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """Inverse of a nonsingular square matrix.
 
-    Raises ``SingularMatrixError`` when a pivot falls below the
-    entry-tolerance scale during elimination.
+    Raises ``SingularMatrixError`` when a pivot falls below ``ENTRY_TOL``
+    times the largest pivot during elimination.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -93,19 +73,19 @@ def inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     n = m.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    lu, piv = _lu_with_pivot_check(m, tol, "matrix")
+    lu, piv = _lu_with_pivot_check(m, "matrix")
     return scipy.linalg.lu_solve((lu, piv), np.eye(n))
 
 
-def symmetric_eigenvalues(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def symmetric_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending."""
-    m = require_symmetric(a, tol)
+    m = require_symmetric(a)
     if m.size == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(m)
 
 
-def group_inverse_laplacian(lap, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def group_inverse_laplacian(lap) -> np.ndarray:
     """Group inverse of the Laplacian of a connected graph.
 
     Computed through the rank-one shift ``(L + J/n)^-1 - J/n`` with J the
@@ -122,22 +102,22 @@ def group_inverse_laplacian(lap, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
     PreconditionError
         If the graph is disconnected (or the matrix is not positive
         semidefinite), detected as a Cholesky factorization of ``L + J/n``
-        that fails or has a pivot at most the entry tolerance times the
-        largest pivot.
+        that fails or has a pivot at most ``ENTRY_TOL`` times the largest
+        pivot.
     SingularMatrixError
         If LAPACK cannot invert the Cholesky factor.
     """
-    m = require_symmetric(lap, tol, "laplacian")
+    m = require_symmetric(lap, "laplacian")
     n = m.shape[0]
     if n == 0:
         raise ValueError("laplacian must have at least one vertex")
-    if float(np.abs(m.sum(axis=1)).max()) > tol.residual:
+    if float(np.abs(m.sum(axis=1)).max()) > RESIDUAL_TOL:
         raise ValueError("laplacian rows must sum to zero")
     # L + J/n is symmetric, so its transpose is the column-major array that
     # LAPACK factors and inverts in place, with no copy
     c, info = scipy.linalg.lapack.dpotrf((m + 1.0 / n).T, overwrite_a=True)
     pivots = np.diag(c) ** 2
-    if info != 0 or float(pivots.min()) <= tol.entry * max(1.0, float(pivots.max())):
+    if info != 0 or float(pivots.min()) <= ENTRY_TOL * max(1.0, float(pivots.max())):
         raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
     x, info = scipy.linalg.lapack.dpotri(c, overwrite_c=True)
     if info != 0:

@@ -34,26 +34,8 @@ from .graphs import (
     is_regular,
     laplacian,
 )
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    group_inverse_laplacian,
-    inverse,
-    symmetric_eigenvalues,
-)
+from .linalg import RESIDUAL_TOL, group_inverse_laplacian, inverse, symmetric_eigenvalues
 from .one_inverse import OneInverse, _require_factors, one_inverse_corona
-
-
-@dataclass(frozen=True, eq=False)
-class ResistanceMatrix:
-    """Pairwise effective resistances with the route that produced them.
-
-    provenance is one of "oracle", "one-inverse-vertex",
-    "one-inverse-edge" or "closed-form".
-    """
-
-    values: np.ndarray
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -73,31 +55,11 @@ def resistance_matrix_from_one_inverse(x: np.ndarray) -> np.ndarray:
     return d[:, None] + d[None, :] - x - x.T
 
 
-def resistance_oracle(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> ResistanceMatrix:
+def resistance_oracle(g: Graph) -> np.ndarray:
     """Brute-force resistance matrix through the full-graph group inverse."""
     if not is_connected(g):
         raise PreconditionError("resistance distance needs a connected graph")
-    x = group_inverse_laplacian(laplacian(g), tol)
-    return ResistanceMatrix(values=resistance_matrix_from_one_inverse(x), provenance="oracle")
-
-
-def one_inverse_resistance_matrix(
-    g1: Graph,
-    g2: Graph,
-    kind: str,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    one_inv: OneInverse | None = None,
-) -> ResistanceMatrix:
-    """Resistance matrix read directly off the materialized product-size {1}-inverse.
-
-    ``one_inv``, when given, is the product's ``OneInverse`` and is used
-    instead of assembling a new one.
-    """
-    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind, tol)
-    return ResistanceMatrix(
-        values=resistance_matrix_from_one_inverse(oi.matrix),
-        provenance=f"one-inverse-{kind}",
-    )
+    return resistance_matrix_from_one_inverse(group_inverse_laplacian(laplacian(g)))
 
 
 def _resistance(oi: OneInverse, u, v):
@@ -109,56 +71,40 @@ def _resistance(oi: OneInverse, u, v):
     return w[p, p] + w[q, q] - 2.0 * w[p, q] * (i == j) + (s[i, i] + s[j, j] - 2.0 * s[i, j])
 
 
-def _pair_query(
-    g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None, tol: Tolerances, kind: str
-) -> float:
-    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind, tol)
+def _pair_query(g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None, kind: str) -> float:
+    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind)
     return float(_resistance(oi, oi.layout.global_index(i), oi.layout.global_index(j)))
 
 
 def resistance_vertex_corona(
-    g1: Graph,
-    g2: Graph,
-    i: Coord,
-    j: Coord,
-    one_inv: OneInverse | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None = None
 ) -> float:
     """Closed-form resistance between two vertex-product vertices.
 
     Coordinates are (class, local index, copy owner) triples as produced
     by ``CoronaLayout.classify``.
     """
-    return _pair_query(g1, g2, i, j, one_inv, tol, VERTEX_KIND)
+    return _pair_query(g1, g2, i, j, one_inv, VERTEX_KIND)
 
 
 def resistance_edge_corona(
-    g1: Graph,
-    g2: Graph,
-    i: Coord,
-    j: Coord,
-    one_inv: OneInverse | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None = None
 ) -> float:
     """Closed-form resistance between two edge-product vertices."""
-    return _pair_query(g1, g2, i, j, one_inv, tol, EDGE_KIND)
+    return _pair_query(g1, g2, i, j, one_inv, EDGE_KIND)
 
 
 def closed_form_resistance_matrix(
-    g1: Graph,
-    g2: Graph,
-    kind: str,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    one_inv: OneInverse | None = None,
-) -> ResistanceMatrix:
+    g1: Graph, g2: Graph, kind: str, one_inv: OneInverse | None = None
+) -> np.ndarray:
     """Full resistance matrix from the closed-form expression, broadcast over all pairs.
 
     ``one_inv``, when given, is the product's ``OneInverse`` and is used
     instead of assembling a new one.
     """
-    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind, tol)
+    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind)
     v = np.arange(oi.layout.n)
-    return ResistanceMatrix(values=_resistance(oi, v[:, None], v), provenance="closed-form")
+    return _resistance(oi, v[:, None], v)
 
 
 def _float_or_array(value):
@@ -166,7 +112,7 @@ def _float_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def vertex_copy_resistance_alt(g2: Graph, a, b, tol: Tolerances = DEFAULT_TOLERANCES):
+def vertex_copy_resistance_alt(g2: Graph, a, b):
     """Same-copy resistance variant with a halved cross coefficient.
 
     ``a`` and ``b`` are second-factor vertices: single indices give a float,
@@ -174,11 +120,11 @@ def vertex_copy_resistance_alt(g2: Graph, a, b, tol: Tolerances = DEFAULT_TOLERA
     off one shifted inverse.  Kept only so verification can report how far
     this variant drifts from the oracle; the shipped dispatch never uses it.
     """
-    q = inverse(laplacian(g2) + 2.0 * np.eye(g2.vertex_count), tol)
+    q = inverse(laplacian(g2) + 2.0 * np.eye(g2.vertex_count))
     return _float_or_array(2.0 * q[a, a] + 2.0 * q[b, b] - 2.0 * q[a, b])
 
 
-def edge_copy_resistance_alt(g2: Graph, a, b, tol: Tolerances = DEFAULT_TOLERANCES):
+def edge_copy_resistance_alt(g2: Graph, a, b):
     """Same-copy resistance variant reading a three-fold shifted inverse.
 
     Takes single indices or broadcastable index arrays, as
@@ -189,7 +135,7 @@ def edge_copy_resistance_alt(g2: Graph, a, b, tol: Tolerances = DEFAULT_TOLERANC
     r2 = is_regular(g2)
     if r2 is None or r2 < 1:
         raise PreconditionError("variant needs a regular second factor of degree at least 1")
-    q = inverse(3.0 * (laplacian(g2) + float(r2) * np.eye(g2.vertex_count)), tol)
+    q = inverse(3.0 * (laplacian(g2) + float(r2) * np.eye(g2.vertex_count)))
     return _float_or_array(q[a, a] + q[b, b] - 2.0 * q[a, b])
 
 
@@ -208,7 +154,7 @@ def neighbor_identity_check(g: Graph, values) -> float:
     count as deviation 0, and a graph without vertices gives 0.0.  Returns
     the maximum absolute deviation.
     """
-    r = values.values if isinstance(values, ResistanceMatrix) else np.asarray(values, dtype=np.float64)
+    r = np.asarray(values, dtype=np.float64)
     n = g.vertex_count
     if r.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix, got shape {r.shape}")
@@ -239,7 +185,7 @@ def metric_violation(values) -> float:
     Checks symmetry, zero diagonal, nonnegativity and the triangle
     inequality over all index triples; returns the worst offense.
     """
-    r = values.values if isinstance(values, ResistanceMatrix) else np.asarray(values, dtype=np.float64)
+    r = np.asarray(values, dtype=np.float64)
     if r.size == 0:
         return 0.0
     worst = float(np.abs(r - r.T).max())
@@ -253,47 +199,46 @@ def metric_violation(values) -> float:
     return worst
 
 
-def kirchhoff_oracle(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> KirchhoffResult:
+def kirchhoff_oracle(g: Graph) -> KirchhoffResult:
     """Kirchhoff index as n times the trace of the Laplacian group inverse.
 
     Cross-checked internally against the unordered-pair resistance sum;
-    disagreement beyond the residual tolerance relative to ``1 + Kf``
+    disagreement beyond ``RESIDUAL_TOL`` relative to ``1 + Kf``
     raises, since that would mean the oracle itself is broken.
     """
     if not is_connected(g):
         raise PreconditionError("Kirchhoff index needs a connected graph")
-    x = group_inverse_laplacian(laplacian(g), tol)
+    x = group_inverse_laplacian(laplacian(g))
     n = g.vertex_count
     value = float(n * np.trace(x))
     pair_sum = float(resistance_matrix_from_one_inverse(x).sum() / 2.0)
-    if abs(value - pair_sum) > tol.residual * (1.0 + abs(value)):
+    if abs(value - pair_sum) > RESIDUAL_TOL * (1.0 + abs(value)):
         raise CoronaKitError(
             f"oracle self-check failed: trace route {value} vs pair sum {pair_sum}"
         )
     return KirchhoffResult(value=value, method="oracle-trace")
 
 
-def kirchhoff_pair_sum(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> KirchhoffResult:
+def kirchhoff_pair_sum(g: Graph) -> KirchhoffResult:
     """Kirchhoff index as the sum of resistances over unordered pairs."""
-    rm = resistance_oracle(g, tol)
-    return KirchhoffResult(value=float(rm.values.sum() / 2.0), method="oracle-sum")
+    return KirchhoffResult(value=float(resistance_oracle(g).sum() / 2.0), method="oracle-sum")
 
 
-def _kf_common(g1: Graph, g2: Graph, kind: str, tol: Tolerances) -> tuple[float, int]:
+def _kf_common(g1: Graph, g2: Graph, kind: str) -> tuple[float, int]:
     # preconditions before the first factor's oracle; returns (Kf(G1), r2)
     r2 = _require_factors(g1, g2, kind)
-    return kirchhoff_oracle(g1, tol).value, r2
+    return kirchhoff_oracle(g1).value, r2
 
 
-def kf_vertex_corona(g1: Graph, g2: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> KirchhoffResult:
+def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the vertex product, any second factor."""
-    kf1, _ = _kf_common(g1, g2, VERTEX_KIND, tol)
+    kf1, _ = _kf_common(g1, g2, VERTEX_KIND)
     n1 = g1.vertex_count
     n2, m2 = g2.vertex_count, g2.edge_count
     total = n1 * (1 + n2 + m2)
     a2 = adjacency_matrix(g2)
     degrees = g2.degrees().astype(np.float64)
-    q_inv = inverse(laplacian(g2) + 2.0 * np.eye(n2), tol)
+    q_inv = inverse(laplacian(g2) + 2.0 * np.eye(n2))
     shifted_sum = float(np.trace(q_inv))  # sum 1/(mu_i + 2) over the spectrum of L2
     # tr(Q^-1 A2) + tr(Q^-1 D2) without the n2^3 products: A2 is symmetric, D2 diagonal
     trace_terms = float(np.sum(q_inv * a2) + q_inv.diagonal() @ degrees)
@@ -311,21 +256,19 @@ def kf_vertex_corona(g1: Graph, g2: Graph, tol: Tolerances = DEFAULT_TOLERANCES)
     return KirchhoffResult(value=value, method="theorem-4.1")
 
 
-def kf_vertex_corona_regular(
-    g1: Graph, g2: Graph, tol: Tolerances = DEFAULT_TOLERANCES
-) -> KirchhoffResult:
+def kf_vertex_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Vertex-product Kirchhoff index specialized to a regular second factor.
 
     Degree zero is allowed; only regularity matters here.
     """
-    kf1, _ = _kf_common(g1, g2, VERTEX_KIND, tol)
+    kf1, _ = _kf_common(g1, g2, VERTEX_KIND)
     r2 = is_regular(g2)
     if r2 is None:
         raise PreconditionError("this formula needs a regular second factor")
     n1 = g1.vertex_count
     n2, m2 = g2.vertex_count, g2.edge_count
     total = n1 * (1 + n2 + m2)
-    mu = symmetric_eigenvalues(laplacian(g2), tol)
+    mu = symmetric_eigenvalues(laplacian(g2))
     shifted_sum = float(np.sum(1.0 / (mu + 2.0)))
     mu_ratio = float(np.sum(mu / (mu + 2.0)))
     bracket = (
@@ -342,20 +285,18 @@ def kf_vertex_corona_regular(
     return KirchhoffResult(value=value, method="corollary-4.2")
 
 
-def kf_edge_corona_regular(
-    g1: Graph, g2: Graph, tol: Tolerances = DEFAULT_TOLERANCES
-) -> KirchhoffResult:
+def kf_edge_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the edge product.
 
     Needs a regular second factor of degree at least 1; otherwise the
     product is disconnected and the index is undefined.
     """
-    kf1, r2 = _kf_common(g1, g2, EDGE_KIND, tol)
+    kf1, r2 = _kf_common(g1, g2, EDGE_KIND)
     n1 = g1.vertex_count
     n2, m2 = g2.vertex_count, g2.edge_count
     total = n1 * (1 + n2 + m2)
     a2 = adjacency_matrix(g2)
-    c_inv = inverse(laplacian(g2) + float(r2) * np.eye(n2), tol)
+    c_inv = inverse(laplacian(g2) + float(r2) * np.eye(n2))
     shifted_sum = float(np.trace(c_inv))  # sum 1/(mu_i + r2) over the spectrum of L2
     bracket = (
         n1 * m2 / 3.0

@@ -44,7 +44,7 @@ from .graphs import (
     is_regular,
     laplacian,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, group_inverse_laplacian, inverse, kron
+from .linalg import group_inverse_laplacian, inverse, kron
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +53,8 @@ class OneInverse:
 
     Attributes
     ----------
-    kind : str
-        Product kind, "vertex" or "edge".
     layout : CoronaLayout
-        The product this inverse belongs to.
+        The product this inverse belongs to; ``layout.kind`` is its kind.
     small_inverse : ndarray
         Inverse of the shifted second-factor Laplacian, n2 x n2.
     s_sharp : ndarray
@@ -65,7 +63,6 @@ class OneInverse:
         The b x b gadget matrix ``W``, b = m2 + n2 + 1.
     """
 
-    kind: str
     layout: CoronaLayout
     small_inverse: np.ndarray
     s_sharp: np.ndarray
@@ -94,16 +91,14 @@ def _require_factors(g1: Graph, g2: Graph, kind: str) -> int:
     return 0
 
 
-def one_inverse_corona(
-    g1: Graph, g2: Graph, kind: str, tol: Tolerances = DEFAULT_TOLERANCES
-) -> OneInverse:
+def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
     """Symmetric {1}-inverse of the ``kind`` product's Laplacian."""
     layout = corona(g1, g2, kind)
     r2 = _require_factors(g1, g2, kind)
     n2, m2 = layout.n2, layout.m2
     r2mat = incidence_matrix(g2)
     shift, coeff = (2.0, 2.0) if kind == VERTEX_KIND else (float(r2), 3.0)
-    small_inverse = inverse(laplacian(g2) + shift * np.eye(n2), tol)
+    small_inverse = inverse(laplacian(g2) + shift * np.eye(n2))
     small_inverse = 0.5 * (small_inverse + small_inverse.T)
     t_small = (np.eye(m2) + r2mat.T @ small_inverse @ r2mat) / coeff
     coupling = r2mat.T @ small_inverse
@@ -116,34 +111,29 @@ def one_inverse_corona(
     w[cop, sub] = coupling.T
     w[cop, cop] = coeff * small_inverse
     return OneInverse(
-        kind=kind,
         layout=layout,
         small_inverse=small_inverse,
-        s_sharp=group_inverse_laplacian(laplacian(g1), tol),
+        s_sharp=group_inverse_laplacian(laplacian(g1)),
         gadget=w,
     )
 
 
-def one_inverse_vertex_corona(
-    g1: Graph, g2: Graph, tol: Tolerances = DEFAULT_TOLERANCES
-) -> OneInverse:
+def one_inverse_vertex_corona(g1: Graph, g2: Graph) -> OneInverse:
     """Symmetric {1}-inverse of the vertex-product Laplacian.
 
     Requires ``g1`` nonempty and connected; ``g2`` may be any simple graph.
     """
-    return one_inverse_corona(g1, g2, VERTEX_KIND, tol)
+    return one_inverse_corona(g1, g2, VERTEX_KIND)
 
 
-def one_inverse_edge_corona(
-    g1: Graph, g2: Graph, tol: Tolerances = DEFAULT_TOLERANCES
-) -> OneInverse:
+def one_inverse_edge_corona(g1: Graph, g2: Graph) -> OneInverse:
     """Symmetric {1}-inverse of the edge-product Laplacian.
 
     Requires ``g1`` nonempty and connected and ``g2`` regular of degree at
     least 1 (otherwise the product is disconnected and the assembly does
     not apply).
     """
-    return one_inverse_corona(g1, g2, EDGE_KIND, tol)
+    return one_inverse_corona(g1, g2, EDGE_KIND)
 
 
 def laplacian_of_product(layout: CoronaLayout) -> np.ndarray:

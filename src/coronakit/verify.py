@@ -10,8 +10,10 @@ factor and product gets one oracle group inverse ``X`` of its Laplacian: the
 group-inverse rows check its defining identities, and the oracle
 resistances and both oracle Kirchhoff routes (``n tr X`` and the pair sum)
 are read off that same ``X``.  Every product gets one ``OneInverse``, which
-the assembly row and both closed-form resistance rows share, and the
-same-copy variant row reads one shifted inverse for all vertex pairs.
+both closed-form resistance rows share; its product-size matrix is built
+once, after the oracle ``X`` is dropped, and read by the assembly row and
+the ``resistance-one-inverse`` row.  The same-copy variant row reads one
+shifted inverse for all vertex pairs.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, group_inverse_laplacian
+from .linalg import ENTRY_TOL, RESIDUAL_TOL, group_inverse_laplacian
 from .metrics import (
     closed_form_resistance_matrix,
     edge_copy_resistance_alt,
@@ -46,7 +48,6 @@ from .metrics import (
     kf_vertex_corona_regular,
     metric_violation,
     neighbor_identity_check,
-    one_inverse_resistance_matrix,
     resistance_matrix_from_one_inverse,
     resistance_vertex_corona,
     resistance_edge_corona,
@@ -154,30 +155,31 @@ def _max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
-def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray) -> np.ndarray:
     # the one oracle inversion of a graph: its identity rows, then both Kirchhoff
     # routes read off the same X; returned for the resistance oracle
-    x = group_inverse_laplacian(lap, tol)
+    x = group_inverse_laplacian(lap)
     residual = max(
         _max_abs(lap @ x @ lap - lap),
         _max_abs(x @ lap @ x - x),
         _max_abs(lap @ x - x @ lap),
     )
-    col.check(f"group-inverse/{prefix}", residual, tol.residual)
+    col.check(f"group-inverse/{prefix}", residual, RESIDUAL_TOL)
     col.check(f"group-inverse-nullvector/{prefix}", _max_abs(x.sum(axis=1)), 1e-10)
     kf_trace = float(lap.shape[0] * np.trace(x))
     kf_sum = float(resistance_matrix_from_one_inverse(x).sum() / 2.0)
+    # the bound kirchhoff_oracle puts on the same two numbers
     col.check(
         f"kirchhoff-oracle-consistency/{prefix}",
         abs(kf_trace - kf_sum),
-        tol.residual,
+        RESIDUAL_TOL * (1.0 + abs(kf_trace)),
         kf_trace,
         kf_sum,
     )
     return x
 
 
-def _product_rows(col, pair, kind, g1, g2, tol: Tolerances) -> None:
+def _product_rows(col, pair, kind, g1, g2) -> None:
     layout = corona(g1, g2, kind)
     n1, m1 = layout.n1, layout.m1
     n2, m2 = layout.n2, layout.m2
@@ -208,35 +210,38 @@ def _product_rows(col, pair, kind, g1, g2, tol: Tolerances) -> None:
             col.skip(f"{family}/{kind}/{pair}", note)
         return
 
-    # one {1}-inverse and one oracle group inverse serve every row below
-    oi = one_inverse_corona(g1, g2, kind, tol)
-    col.check(f"assembly/{kind}/{pair}", _max_abs(lap @ oi.matrix @ lap - lap), tol.residual)
-    x = _group_inverse_rows(col, f"{kind}/{pair}", lap, tol)
+    # one {1}-inverse and one oracle group inverse serve every row below;
+    # product-size arrays live only while read, which keeps the peak down
+    oi = one_inverse_corona(g1, g2, kind)
+    x = _group_inverse_rows(col, f"{kind}/{pair}", lap)
     kf_oracle = float(layout.n * np.trace(x))
     r_oracle = resistance_matrix_from_one_inverse(x)
-    del x  # product-size arrays live only while read, which keeps the peak down
+    del x  # the oracle X goes before the assembled {1}-inverse is built
+    assembled = oi.matrix
+    col.check(f"assembly/{kind}/{pair}", _max_abs(lap @ assembled @ lap - lap), RESIDUAL_TOL)
     col.check(
         f"resistance-one-inverse/{kind}/{pair}",
-        _max_abs(one_inverse_resistance_matrix(g1, g2, kind, tol, one_inv=oi).values - r_oracle),
-        tol.entry,
+        _max_abs(resistance_matrix_from_one_inverse(assembled) - r_oracle),
+        ENTRY_TOL,
     )
+    del assembled
     col.check(
         f"resistance-closed-form/{kind}/{pair}",
-        _max_abs(closed_form_resistance_matrix(g1, g2, kind, tol, one_inv=oi).values - r_oracle),
-        tol.entry,
+        _max_abs(closed_form_resistance_matrix(g1, g2, kind, one_inv=oi) - r_oracle),
+        ENTRY_TOL,
     )
     col.check(
         f"local-identity/{kind}/{pair}",
         neighbor_identity_check(layout.product, r_oracle),
-        tol.entry,
+        ENTRY_TOL,
     )
     col.check(f"metric-axioms/{kind}/{pair}", metric_violation(r_oracle), 1e-10)
 
     if kind == VERTEX_KIND:
-        kf_closed = kf_vertex_corona(g1, g2, tol)
+        kf_closed = kf_vertex_corona(g1, g2)
     else:
-        kf_closed = kf_edge_corona_regular(g1, g2, tol)
-    kf_bound = tol.residual * (1.0 + abs(kf_oracle))
+        kf_closed = kf_edge_corona_regular(g1, g2)
+    kf_bound = RESIDUAL_TOL * (1.0 + abs(kf_oracle))
     col.check(
         f"kirchhoff-closed-form/{kind}/{pair}",
         abs(kf_closed.value - kf_oracle),
@@ -251,7 +256,7 @@ def _product_rows(col, pair, kind, g1, g2, tol: Tolerances) -> None:
                 f"kirchhoff-regular-consistency/{kind}/{pair}", "second factor not regular"
             )
         else:
-            kf_reg = kf_vertex_corona_regular(g1, g2, tol)
+            kf_reg = kf_vertex_corona_regular(g1, g2)
             col.check(
                 f"kirchhoff-regular/{kind}/{pair}",
                 abs(kf_reg.value - kf_oracle),
@@ -274,7 +279,7 @@ def _product_rows(col, pair, kind, g1, g2, tol: Tolerances) -> None:
         # informational only, the shipped dispatch does not use it
         a, b = np.triu_indices(n2, 1)
         alt_variant = vertex_copy_resistance_alt if kind == VERTEX_KIND else edge_copy_resistance_alt
-        alt = alt_variant(g2, a, b, tol)
+        alt = alt_variant(g2, a, b)
         copies = layout.copy_index(0, 0) + n1 * np.arange(n2)  # the copy owned by vertex 0
         true = r_oracle[copies[a], copies[b]]
         dev = np.abs(alt - true)
@@ -288,20 +293,20 @@ def _product_rows(col, pair, kind, g1, g2, tol: Tolerances) -> None:
         )
 
 
-def _instance_rows(col, tol: Tolerances) -> None:
+def _instance_rows(col) -> None:
     k1, k2 = complete_graph(1), complete_graph(2)
-    bound = tol.entry
+    bound = ENTRY_TOL
 
     kf_targets = (
-        ("instance/kf/vertex/K1-K2", kf_vertex_corona(k1, k2, tol).value, 5.0),
-        ("instance/kf/vertex/K2-K1", kf_vertex_corona(k2, k1, tol).value, 10.0),
-        ("instance/kf/vertex-regular/K1-K1", kf_vertex_corona_regular(k1, k1, tol).value, 1.0),
-        ("instance/kf/edge/K1-K2", kf_edge_corona_regular(k1, k2, tol).value, 9.0),
+        ("instance/kf/vertex/K1-K2", kf_vertex_corona(k1, k2).value, 5.0),
+        ("instance/kf/vertex/K2-K1", kf_vertex_corona(k2, k1).value, 10.0),
+        ("instance/kf/vertex-regular/K1-K1", kf_vertex_corona_regular(k1, k1).value, 1.0),
+        ("instance/kf/edge/K1-K2", kf_edge_corona_regular(k1, k2).value, 9.0),
     )
     for case_id, got, want in kf_targets:
         col.check(case_id, abs(got - want), bound, got, want)
 
-    oi_v = one_inverse_vertex_corona(k1, k2, tol)
+    oi_v = one_inverse_vertex_corona(k1, k2)
     targets_v = (
         ("copy-copy", (COPY, 0, 0), (COPY, 1, 0), 1.0),
         ("base-copy", (BASE, 0, 0), (COPY, 0, 0), 0.75),
@@ -309,20 +314,20 @@ def _instance_rows(col, tol: Tolerances) -> None:
         ("subdivision-copy", (SUBDIVISION, 0, 0), (COPY, 0, 0), 0.75),
     )
     for label, ci, cj, want in targets_v:
-        got = resistance_vertex_corona(k1, k2, ci, cj, one_inv=oi_v, tol=tol)
+        got = resistance_vertex_corona(k1, k2, ci, cj, one_inv=oi_v)
         col.check(f"instance/resistance/vertex/K1-K2/{label}", abs(got - want), bound, got, want)
 
-    oi_e = one_inverse_edge_corona(k1, k2, tol)
+    oi_e = one_inverse_edge_corona(k1, k2)
     targets_e = (
         ("copy-copy", (COPY, 0, 0), (COPY, 1, 0), 2.0),
         ("subdivision-copy", (SUBDIVISION, 0, 0), (COPY, 0, 0), 1.0),
         ("subdivision-base", (SUBDIVISION, 0, 0), (BASE, 0, 0), 1.0),
     )
     for label, ci, cj, want in targets_e:
-        got = resistance_edge_corona(k1, k2, ci, cj, one_inv=oi_e, tol=tol)
+        got = resistance_edge_corona(k1, k2, ci, cj, one_inv=oi_e)
         col.check(f"instance/resistance/edge/K1-K2/{label}", abs(got - want), bound, got, want)
 
-    alt = vertex_copy_resistance_alt(k2, 0, 1, tol)
+    alt = vertex_copy_resistance_alt(k2, 0, 1)
     col.info(
         "instance/alt-coefficient/vertex/K1-K2",
         deviation=abs(alt - 1.0),
@@ -333,10 +338,7 @@ def _instance_rows(col, tol: Tolerances) -> None:
 
 
 def run_verification(
-    pairs=None,
-    tolerance: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    include_instances: bool = True,
+    pairs=None, tolerance: float | None = None, include_instances: bool = True
 ) -> VerificationReport:
     """Run the full check suite and return a deterministic report.
 
@@ -347,7 +349,8 @@ def run_verification(
         built-in corpus cross product.
     tolerance : float, optional
         When given, replaces the comparison bound of every pass/fail
-        check.  Informational rows are unaffected.
+        check; otherwise each check keeps its own bound, built from the
+        ``linalg`` threshold constants.  Informational rows are unaffected.
     include_instances : bool
         Also run the fixed hand-derived instance checks.
     """
@@ -371,18 +374,18 @@ def run_verification(
         if g.vertex_count == 0:
             col.skip(f"group-inverse/factor/{label}", "empty graph")
         elif is_connected(g):
-            _group_inverse_rows(col, f"factor/{label}", laplacian(g), tol)
+            _group_inverse_rows(col, f"factor/{label}", laplacian(g))
         else:
             col.skip(f"group-inverse/factor/{label}", "disconnected")
 
     for a, b in seen_pairs:
         g1, g2 = named_graph(a), named_graph(b)
         pair = f"{a}-{b}"
-        _product_rows(col, pair, VERTEX_KIND, g1, g2, tol)
-        _product_rows(col, pair, EDGE_KIND, g1, g2, tol)
+        _product_rows(col, pair, VERTEX_KIND, g1, g2)
+        _product_rows(col, pair, EDGE_KIND, g1, g2)
 
     if include_instances:
-        _instance_rows(col, tol)
+        _instance_rows(col)
 
     ids = [c.case_id for c in col.cases]
     if len(ids) != len(set(ids)):

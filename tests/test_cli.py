@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -172,7 +171,7 @@ class TestRowKernel:
     def test_non_finite_matrix_exits_2_without_output(self, tmp_path, monkeypatch, k1, k2, fmt, bad, capsys):
         matrix = np.zeros((4, 4))
         matrix[1, 2] = bad
-        monkeypatch.setattr(cli, "closed_form_resistance_matrix", lambda g1, g2, kind: SimpleNamespace(values=matrix))
+        monkeypatch.setattr(cli, "closed_form_resistance_matrix", lambda g1, g2, kind: matrix)
         out = tmp_path / "r.out"
         argv = ["resistance", "--kind", "vertex", "--g1", k1, "--g2", k2,
                 "--method", "closed-form", "--format", fmt, "--out", str(out)]
@@ -199,6 +198,13 @@ class TestBuild:
         captured = capsys.readouterr()
         assert parse_edge_list(captured.out).edges == ((0, 1), (0, 2), (0, 3))
 
+    def test_dash_out_is_stdout_and_writes_no_file(self, tmp_path, monkeypatch, capsys, k1, k2):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["build", "--kind", "edge", "--g1", k1, "--g2", k2, "--out", "-"]) == 0
+        assert parse_edge_list(capsys.readouterr().out).edges == ((0, 1), (0, 2), (0, 3))
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_manifest_override_path(self, tmp_path, k1, k2):
         out = tmp_path / "prod.txt"
         mani = tmp_path / "layout.json"
@@ -224,7 +230,7 @@ class TestResistance:
         assert main(["resistance", "--kind", "vertex", "--g1", k1, "--g2", k2]) == 0
         payload = json.loads(capsys.readouterr().out)
         got = np.array(payload["matrix"])
-        want = resistance_oracle(corona_vertex(complete_graph(1), complete_graph(2)).product).values
+        want = resistance_oracle(corona_vertex(complete_graph(1), complete_graph(2)).product)
         assert np.abs(got - want).max() < 1e-12
         assert payload["method"] == "oracle"
 

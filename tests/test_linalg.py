@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coronakit
 from conftest import connected_graphs
 from coronakit import (
+    ENTRY_TOL,
+    RESIDUAL_TOL,
+    SYMMETRY_TOL,
     Graph,
     PreconditionError,
     SingularMatrixError,
-    Tolerances,
     complete_graph,
     cycle_graph,
     group_inverse_laplacian,
@@ -46,12 +51,18 @@ def small_matrices(n):
 
 class TestTolerances:
     def test_defaults(self):
-        t = Tolerances()
-        assert (t.entry, t.residual, t.symmetry) == (1e-9, 1e-8, 1e-12)
+        assert (ENTRY_TOL, RESIDUAL_TOL, SYMMETRY_TOL) == (1e-9, 1e-8, 1e-12)
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            Tolerances(entry=0.0)
+    def test_no_exported_callable_takes_tol(self):
+        # the thresholds are module constants, not a per-call setting;
+        # exception classes carry no inspectable signature
+        exported = [
+            (name, obj)
+            for name, obj in vars(coronakit).items()
+            if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception))
+        ]
+        assert len(exported) > 40
+        assert [name for name, obj in exported if "tol" in inspect.signature(obj).parameters] == []
 
 
 class TestKron:

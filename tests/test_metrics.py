@@ -34,8 +34,8 @@ from coronakit import (
     metric_violation,
     named_graph,
     neighbor_identity_check,
+    one_inverse_corona,
     one_inverse_edge_corona,
-    one_inverse_resistance_matrix,
     one_inverse_vertex_corona,
     path_graph,
     resistance_edge_corona,
@@ -52,24 +52,21 @@ class TestOracle:
         assert resistance_matrix_from_one_inverse(x)[0, 1] == pytest.approx(1.0, abs=1e-14)
 
     def test_four_cycle_pattern(self):
-        r = resistance_oracle(cycle_graph(4)).values
+        r = resistance_oracle(cycle_graph(4))
         assert r[0, 1] == pytest.approx(0.75, abs=1e-12)
         assert r[0, 2] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(np.diag(r), 0.0, atol=1e-14)
 
     def test_triangle(self):
-        r = resistance_oracle(complete_graph(3)).values
+        r = resistance_oracle(complete_graph(3))
         off = r[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 2.0 / 3.0, atol=1e-12)
 
     def test_tree_resistance_is_path_length(self):
-        r = resistance_oracle(path_graph(4)).values
+        r = resistance_oracle(path_graph(4))
         for i in range(4):
             for j in range(4):
                 assert r[i, j] == pytest.approx(abs(i - j), abs=1e-12)
-
-    def test_provenance(self):
-        assert resistance_oracle(complete_graph(2)).provenance == "oracle"
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
@@ -84,23 +81,23 @@ class TestClosedFormDispatch:
     def test_vertex_matrix_matches_oracle(self, a, b):
         g1, g2 = named_graph(a), named_graph(b)
         layout = corona_vertex(g1, g2)
-        closed = closed_form_resistance_matrix(g1, g2, "vertex").values
-        oracle = resistance_oracle(layout.product).values
+        closed = closed_form_resistance_matrix(g1, g2, "vertex")
+        oracle = resistance_oracle(layout.product)
         assert np.abs(closed - oracle).max() < 1e-9
 
     @pytest.mark.parametrize("a,b", [(a, b) for a, b in SPOT_PAIRS if is_regular(named_graph(b))])
     def test_edge_matrix_matches_oracle(self, a, b):
         g1, g2 = named_graph(a), named_graph(b)
         layout = corona_edge(g1, g2)
-        closed = closed_form_resistance_matrix(g1, g2, "edge").values
-        oracle = resistance_oracle(layout.product).values
+        closed = closed_form_resistance_matrix(g1, g2, "edge")
+        oracle = resistance_oracle(layout.product)
         assert np.abs(closed - oracle).max() < 1e-9
 
     @pytest.mark.parametrize("kind", ["vertex", "edge"])
     def test_matches_oracle_at_820_vertices(self, kind):
         g = cycle_graph(20)
-        closed = closed_form_resistance_matrix(g, g, kind).values
-        oracle = resistance_oracle(corona(g, g, kind).product).values
+        closed = closed_form_resistance_matrix(g, g, kind)
+        oracle = resistance_oracle(corona(g, g, kind).product)
         assert closed.shape == (820, 820)
         assert np.abs(closed - oracle).max() < 1e-9
         assert np.array_equal(closed, closed.T)
@@ -110,10 +107,9 @@ class TestClosedFormDispatch:
         g1, g2 = named_graph("K2"), named_graph("C3")
         for kind in ("vertex", "edge"):
             layout = corona_vertex(g1, g2) if kind == "vertex" else corona_edge(g1, g2)
-            direct = one_inverse_resistance_matrix(g1, g2, kind)
-            oracle = resistance_oracle(layout.product).values
-            assert np.abs(direct.values - oracle).max() < 1e-9
-            assert direct.provenance == f"one-inverse-{kind}"
+            direct = resistance_matrix_from_one_inverse(one_inverse_corona(g1, g2, kind).matrix)
+            oracle = resistance_oracle(layout.product)
+            assert np.abs(direct - oracle).max() < 1e-9
 
     def test_scalar_api_vertex(self):
         g1, g2 = complete_graph(1), complete_graph(2)
@@ -139,7 +135,7 @@ class TestClosedFormDispatch:
         want = 2.0 * (q[0, 0] + q[1, 1] - 2.0 * q[0, 1])
         got = resistance_vertex_corona(g1, g2, (COPY, 0, 0), (COPY, 1, 0), one_inv=oi)
         assert got == pytest.approx(want, abs=1e-14)
-        oracle = resistance_oracle(corona_vertex(g1, g2).product).values
+        oracle = resistance_oracle(corona_vertex(g1, g2).product)
         assert got == pytest.approx(oracle[oi.layout.copy_index(0, 0), oi.layout.copy_index(1, 0)], abs=1e-12)
 
     def test_subdivision_expansion_follows_neighbor_values(self):
@@ -154,7 +150,7 @@ class TestClosedFormDispatch:
         u, v = (COPY, a, 0), (COPY, b, 0)
         want = 0.5 + 0.5 * r(u, sj) + 0.5 * r(v, sj) - 0.25 * r(u, v)
         assert r(si, sj) == pytest.approx(want, abs=1e-12)
-        oracle = resistance_oracle(layout.product).values
+        oracle = resistance_oracle(layout.product)
         assert r(si, sj) == pytest.approx(
             oracle[layout.subdivision_index(0, 0), layout.subdivision_index(2, 1)], abs=1e-9
         )
@@ -194,7 +190,7 @@ class TestNeighborIdentity:
 
     def test_detects_perturbation(self):
         g = cycle_graph(4)
-        r = resistance_oracle(g).values.copy()
+        r = resistance_oracle(g).copy()
         r[0, 2] += 0.01
         r[2, 0] += 0.01
         assert neighbor_identity_check(g, r) > 1e-3
@@ -420,11 +416,11 @@ class TestProperties:
         g1, g2 = named_graph(a), named_graph(b)
         oi = one_inverse_vertex_corona(g1, g2)
         from_assembly = resistance_matrix_from_one_inverse(oi.matrix)
-        oracle = resistance_oracle(oi.layout.product).values
+        oracle = resistance_oracle(oi.layout.product)
         assert np.abs(from_assembly - oracle).max() <= 1e-9
         r2 = is_regular(g2)
         if r2 is not None and r2 >= 1:
             oe = one_inverse_edge_corona(g1, g2)
             from_assembly = resistance_matrix_from_one_inverse(oe.matrix)
-            oracle = resistance_oracle(oe.layout.product).values
+            oracle = resistance_oracle(oe.layout.product)
             assert np.abs(from_assembly - oracle).max() <= 1e-9

@@ -102,7 +102,7 @@ def test_stores_no_product_size_array(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(metrics, "one_inverse_corona", recording)
-    values = metrics.closed_form_resistance_matrix(cycle_graph(15), g2, "vertex").values
+    values = metrics.closed_form_resistance_matrix(cycle_graph(15), g2, "vertex")
     assert [x.layout.n for x in built] == [len(values)] == [555]
     assert "product" not in built[0].layout.__dict__
 

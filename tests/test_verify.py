@@ -168,7 +168,12 @@ class TestEmptyFactor:
 
 class TestOneInversionPerProduct:
     def test_each_product_is_assembled_and_inverted_once(self, monkeypatch):
-        assemblies, sizes = [], []
+        assemblies, sizes, matrix_reads = [], [], []
+        product_matrix = one_inverse.OneInverse.matrix.fget
+
+        def recording_matrix(oi):
+            matrix_reads.append(oi.layout.kind)
+            return product_matrix(oi)
 
         def recording_assembly(*args, **kwargs):
             assemblies.append(one_inverse.one_inverse_corona(*args, **kwargs))
@@ -182,18 +187,35 @@ class TestOneInversionPerProduct:
             monkeypatch.setattr(module, "one_inverse_corona", recording_assembly)
         for module in (verify, metrics, one_inverse):
             monkeypatch.setattr(module, "group_inverse_laplacian", recording_group_inverse)
+        monkeypatch.setattr(one_inverse.OneInverse, "matrix", property(recording_matrix))
         report = run_verification(pairs=[("P3", "C4")], include_instances=False)
         assert report.passed
         # both products of P3 and C4 have 27 vertices; the factors have 3 and 4
-        assert [(oi.kind, oi.layout.n) for oi in assemblies] == [("vertex", 27), ("edge", 27)]
+        assert [(oi.layout.kind, oi.layout.n) for oi in assemblies] == [("vertex", 27), ("edge", 27)]
         assert sizes.count(27) == 2
         assert set(sizes) == {3, 4, 27}
+        # the product-size {1}-inverse is built once per product row
+        assert matrix_reads == ["vertex", "edge"]
+
+
+class TestKirchhoffOracleConsistency:
+    def test_bound_scales_with_the_index(self):
+        # Kf(P800) = 85333199.9996..., where one ulp (1.49e-8) exceeds an absolute 1e-8
+        report = run_verification(pairs=[("P800", "K0")], include_instances=False)
+        rows = {c.case_id: c for c in report.cases}
+        for case_id in (
+            "kirchhoff-oracle-consistency/factor/P800",
+            "kirchhoff-oracle-consistency/vertex/P800-K0",
+        ):
+            row = rows[case_id]
+            assert row.status == "pass"
+            assert row.tolerance == 1e-8 * (1.0 + row.closed_form)
 
 
 def _copy_pair_reference(g1, g2, kind):
     # the per-pair loop the copy-pair-alt row once ran: the last pair of largest drift
     layout = corona(g1, g2, kind)
-    r = resistance_oracle(layout.product).values
+    r = resistance_oracle(layout.product)
     worst, devs = (0.0, None, None), []
     for a in range(g2.vertex_count):
         for b in range(a + 1, g2.vertex_count):
