@@ -34,6 +34,7 @@ from .linalg import (
     RESIDUAL_TOL,
     SYMMETRY_TOL,
     group_inverse_laplacian,
+    group_inverse_trace_and_sum,
     inverse,
     kron,
     symmetric_eigenvalues,

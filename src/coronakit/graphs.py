@@ -82,12 +82,16 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        # the edges as one int64 (m, 2) array, built once per graph; every
+        # matrix is filled from it by fancy indexing
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.vertex_count, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.bincount(self._ends.ravel(), minlength=self.vertex_count)
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -102,6 +106,24 @@ class Graph:
         if not 0 <= v < self.vertex_count:
             raise IndexError(f"vertex {v} out of range")
         return self._adjacency[v]
+
+    @cached_property
+    def _connected(self) -> bool:
+        # breadth-first reachability from vertex 0, run once per graph
+        n = self.vertex_count
+        if n <= 1:
+            return True
+        adj = self._adjacency
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        return bool(seen.all())
 
 
 def complete_graph(n: int) -> Graph:
@@ -127,9 +149,9 @@ def star_graph(leaves: int) -> Graph:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.vertex_count, g.vertex_count))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    u, v = g._ends.T
+    a[u, v] = 1.0
+    a[v, u] = 1.0
     return a
 
 
@@ -140,14 +162,20 @@ def degree_matrix(g: Graph) -> np.ndarray:
 def incidence_matrix(g: Graph) -> np.ndarray:
     """Vertex-edge incidence matrix, shape (n, m), columns in the canonical edge order."""
     r = np.zeros((g.vertex_count, g.edge_count))
-    for e, (u, v) in enumerate(g.edges):
-        r[u, e] = 1.0
-        r[v, e] = 1.0
+    e = np.arange(g.edge_count)
+    r[g._ends[:, 0], e] = 1.0
+    r[g._ends[:, 1], e] = 1.0
     return r
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    return degree_matrix(g) - adjacency_matrix(g)
+    """``D - A``, written into one zero array; entries off the edges stay ``+0.0``."""
+    lap = np.zeros((g.vertex_count, g.vertex_count))
+    u, v = g._ends.T
+    lap[u, v] = -1.0
+    lap[v, u] = -1.0
+    np.fill_diagonal(lap, g.degrees())
+    return lap
 
 
 def subdivision(g: Graph) -> Graph:
@@ -165,21 +193,11 @@ def subdivision(g: Graph) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability; graphs with at most one vertex count as connected."""
-    n = g.vertex_count
-    if n <= 1:
-        return True
-    adj = g._adjacency
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return bool(seen.all())
+    """Breadth-first reachability, computed once per graph.
+
+    Graphs with at most one vertex count as connected.
+    """
+    return g._connected
 
 
 def is_regular(g: Graph) -> int | None:
@@ -246,7 +264,7 @@ class CoronaLayout:
         owner ``i`` as ``p*n1 + i``, and the ``G1`` edges join the roots.
         """
         n1, m2, root = self.n1, self.m2, self.m2 + self.n2
-        ends = m2 + np.array(self.g2.edges, dtype=np.int64).reshape(-1, 2)
+        ends = m2 + self.g2._ends
         sub = np.arange(m2)
         spokes = m2 + np.arange(self.n2) if self.kind == VERTEX_KIND else sub
         gadget = np.concatenate(
@@ -257,7 +275,7 @@ class CoronaLayout:
             ]
         )
         lifted = gadget[:, None, :] * n1 + np.arange(n1)[:, None]
-        roots = root * n1 + np.array(self.g1.edges, dtype=np.int64).reshape(-1, 2)
+        roots = root * n1 + self.g1._ends
         edges = np.concatenate([roots, lifted.reshape(-1, 2)])
         return Graph(self.n, tuple(map(tuple, edges.tolist())))
 

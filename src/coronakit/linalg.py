@@ -85,6 +85,28 @@ def symmetric_eigenvalues(a) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def _shift_inverse(lap) -> np.ndarray:
+    # validate a Laplacian and invert L + J/n from one Cholesky factor; the
+    # result holds the inverse in its upper triangle and the factor's zeros
+    # below it.  A failed or tiny pivot means the graph is disconnected.
+    m = require_symmetric(lap, "laplacian")
+    n = m.shape[0]
+    if n == 0:
+        raise ValueError("laplacian must have at least one vertex")
+    if float(np.abs(m.sum(axis=1)).max()) > RESIDUAL_TOL:
+        raise ValueError("laplacian rows must sum to zero")
+    # L + J/n is symmetric, so its transpose is the column-major array that
+    # LAPACK factors and inverts in place, with no copy
+    c, info = scipy.linalg.lapack.dpotrf((m + 1.0 / n).T, overwrite_a=True)
+    pivots = np.diag(c) ** 2
+    if info != 0 or float(pivots.min()) <= ENTRY_TOL * max(1.0, float(pivots.max())):
+        raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
+    x, info = scipy.linalg.lapack.dpotri(c, overwrite_c=True)
+    if info != 0:
+        raise SingularMatrixError("laplacian shift is singular to working tolerance")
+    return x
+
+
 def group_inverse_laplacian(lap) -> np.ndarray:
     """Group inverse of the Laplacian of a connected graph.
 
@@ -107,23 +129,26 @@ def group_inverse_laplacian(lap) -> np.ndarray:
     SingularMatrixError
         If LAPACK cannot invert the Cholesky factor.
     """
-    m = require_symmetric(lap, "laplacian")
-    n = m.shape[0]
-    if n == 0:
-        raise ValueError("laplacian must have at least one vertex")
-    if float(np.abs(m.sum(axis=1)).max()) > RESIDUAL_TOL:
-        raise ValueError("laplacian rows must sum to zero")
-    # L + J/n is symmetric, so its transpose is the column-major array that
-    # LAPACK factors and inverts in place, with no copy
-    c, info = scipy.linalg.lapack.dpotrf((m + 1.0 / n).T, overwrite_a=True)
-    pivots = np.diag(c) ** 2
-    if info != 0 or float(pivots.min()) <= ENTRY_TOL * max(1.0, float(pivots.max())):
-        raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
-    x, info = scipy.linalg.lapack.dpotri(c, overwrite_c=True)
-    if info != 0:
-        raise SingularMatrixError("laplacian shift is singular to working tolerance")
-    # dpotri fills the upper triangle and the factor's lower triangle is zero
+    x = _shift_inverse(lap)
+    n = x.shape[0]
     x += np.triu(x, 1).T
     x -= 1.0 / n
     # x is symmetric, so its transpose is the same matrix in row-major order
     return x.T
+
+
+def group_inverse_trace_and_sum(lap) -> tuple[float, float]:
+    """``(tr X, 1'X1)`` of the group inverse ``X`` of a connected graph's Laplacian.
+
+    Read off the upper triangle of ``(L + J/n)^-1`` that
+    ``group_inverse_laplacian`` starts from, without forming ``X``: its
+    diagonal minus ``1/n`` is the diagonal of ``X``, bit for bit, and
+    ``1'X1 = 2 * (upper-triangle sum) - (diagonal sum) - n``.  The second
+    number is zero up to rounding, since ``X 1 = 0``.  Validation and
+    errors are those of ``group_inverse_laplacian``.
+    """
+    x = _shift_inverse(lap)
+    n = x.shape[0]
+    diagonal = np.diagonal(x)
+    trace = float((diagonal - 1.0 / n).sum())
+    return trace, 2.0 * float(x.sum()) - float(diagonal.sum()) - n

@@ -20,6 +20,7 @@ assembly so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +35,14 @@ from .graphs import (
     is_regular,
     laplacian,
 )
-from .linalg import RESIDUAL_TOL, group_inverse_laplacian, inverse, symmetric_eigenvalues
-from .one_inverse import OneInverse, _require_factors, one_inverse_corona
+from .linalg import (
+    RESIDUAL_TOL,
+    group_inverse_laplacian,
+    group_inverse_trace_and_sum,
+    inverse,
+    symmetric_eigenvalues,
+)
+from .one_inverse import OneInverse, _require_factors, _shifted_inverse, one_inverse_corona
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ def vertex_copy_resistance_alt(g2: Graph, a, b):
     off one shifted inverse.  Kept only so verification can report how far
     this variant drifts from the oracle; the shipped dispatch never uses it.
     """
-    q = inverse(laplacian(g2) + 2.0 * np.eye(g2.vertex_count))
+    q = _shifted_inverse(g2, 2.0)
     return _float_or_array(2.0 * q[a, a] + 2.0 * q[b, b] - 2.0 * q[a, b])
 
 
@@ -202,16 +209,17 @@ def metric_violation(values) -> float:
 def kirchhoff_oracle(g: Graph) -> KirchhoffResult:
     """Kirchhoff index as n times the trace of the Laplacian group inverse.
 
-    Cross-checked internally against the unordered-pair resistance sum;
-    disagreement beyond ``RESIDUAL_TOL`` relative to ``1 + Kf``
-    raises, since that would mean the oracle itself is broken.
+    Cross-checked internally against the unordered-pair resistance sum,
+    ``n tr X - 1'X1``, which both come from ``group_inverse_trace_and_sum``
+    without forming ``X`` or a resistance matrix; disagreement beyond
+    ``RESIDUAL_TOL`` relative to ``1 + Kf`` raises, since that would mean
+    the oracle itself is broken.
     """
     if not is_connected(g):
         raise PreconditionError("Kirchhoff index needs a connected graph")
-    x = group_inverse_laplacian(laplacian(g))
-    n = g.vertex_count
-    value = float(n * np.trace(x))
-    pair_sum = float(resistance_matrix_from_one_inverse(x).sum() / 2.0)
+    trace, total = group_inverse_trace_and_sum(laplacian(g))
+    value = float(g.vertex_count * trace)
+    pair_sum = value - total
     if abs(value - pair_sum) > RESIDUAL_TOL * (1.0 + abs(value)):
         raise CoronaKitError(
             f"oracle self-check failed: trace route {value} vs pair sum {pair_sum}"
@@ -224,10 +232,17 @@ def kirchhoff_pair_sum(g: Graph) -> KirchhoffResult:
     return KirchhoffResult(value=float(resistance_oracle(g).sum() / 2.0), method="oracle-sum")
 
 
+@lru_cache(maxsize=32)
+def _first_factor_kirchhoff(g1: Graph) -> float:
+    # Kf(G1) is the same for every second factor and both kinds, so it is
+    # computed once per first-factor value; Graph hashes by value
+    return kirchhoff_oracle(g1).value
+
+
 def _kf_common(g1: Graph, g2: Graph, kind: str) -> tuple[float, int]:
     # preconditions before the first factor's oracle; returns (Kf(G1), r2)
     r2 = _require_factors(g1, g2, kind)
-    return kirchhoff_oracle(g1).value, r2
+    return _first_factor_kirchhoff(g1), r2
 
 
 def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
@@ -238,7 +253,7 @@ def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
     total = n1 * (1 + n2 + m2)
     a2 = adjacency_matrix(g2)
     degrees = g2.degrees().astype(np.float64)
-    q_inv = inverse(laplacian(g2) + 2.0 * np.eye(n2))
+    q_inv = _shifted_inverse(g2, 2.0)
     shifted_sum = float(np.trace(q_inv))  # sum 1/(mu_i + 2) over the spectrum of L2
     # tr(Q^-1 A2) + tr(Q^-1 D2) without the n2^3 products: A2 is symmetric, D2 diagonal
     trace_terms = float(np.sum(q_inv * a2) + q_inv.diagonal() @ degrees)
@@ -296,7 +311,7 @@ def kf_edge_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     n2, m2 = g2.vertex_count, g2.edge_count
     total = n1 * (1 + n2 + m2)
     a2 = adjacency_matrix(g2)
-    c_inv = inverse(laplacian(g2) + float(r2) * np.eye(n2))
+    c_inv = _shifted_inverse(g2, float(r2))
     shifted_sum = float(np.trace(c_inv))  # sum 1/(mu_i + r2) over the spectrum of L2
     bracket = (
         n1 * m2 / 3.0

@@ -91,6 +91,11 @@ def _require_factors(g1: Graph, g2: Graph, kind: str) -> int:
     return 0
 
 
+def _shifted_inverse(g2: Graph, shift: float) -> np.ndarray:
+    """``inverse(L2 + shift I)``, the second-factor piece every closed form reads."""
+    return inverse(laplacian(g2) + shift * np.eye(g2.vertex_count))
+
+
 def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
     """Symmetric {1}-inverse of the ``kind`` product's Laplacian."""
     layout = corona(g1, g2, kind)
@@ -98,7 +103,7 @@ def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
     n2, m2 = layout.n2, layout.m2
     r2mat = incidence_matrix(g2)
     shift, coeff = (2.0, 2.0) if kind == VERTEX_KIND else (float(r2), 3.0)
-    small_inverse = inverse(laplacian(g2) + shift * np.eye(n2))
+    small_inverse = _shifted_inverse(g2, shift)
     small_inverse = 0.5 * (small_inverse + small_inverse.T)
     t_small = (np.eye(m2) + r2mat.T @ small_inverse @ r2mat) / coeff
     coupling = r2mat.T @ small_inverse

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import hypothesis
+import pytest
 from hypothesis import strategies as st
 
-from coronakit import Graph
+from coronakit import Graph, metrics
 
 hypothesis.settings.register_profile("ci", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("ci")
@@ -11,6 +12,13 @@ hypothesis.settings.load_profile("ci")
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts are visible regardless of output capture
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _empty_first_factor_memo():
+    # the Kf(G1) memo lives as long as the process; no test may lean on what
+    # an earlier one left in it
+    metrics._first_factor_kirchhoff.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -29,6 +29,7 @@ from coronakit import (
     star_graph,
     subdivision,
 )
+from coronakit import graphs as graphs_module
 
 
 def triple_loop_corona(g1: Graph, g2: Graph, kind: str) -> Graph:
@@ -138,6 +139,25 @@ class TestMatrices:
         assert np.array_equal(incidence_matrix(g), [[1, 0], [1, 1], [0, 1]])
 
     @given(graphs())
+    def test_match_the_per_edge_loops(self, g):
+        # the loops the matrices were first built with, kept as the reference
+        n, m = g.vertex_count, g.edge_count
+        d = np.zeros(n, dtype=np.int64)
+        a, r = np.zeros((n, n)), np.zeros((n, m))
+        for e, (u, v) in enumerate(g.edges):
+            d[u] += 1
+            d[v] += 1
+            a[u, v] = a[v, u] = 1.0
+            r[u, e] = r[v, e] = 1.0
+        lap = np.diag(d.astype(np.float64)) - a
+        assert g.degrees().dtype == np.int64 and np.array_equal(g.degrees(), d)
+        assert np.array_equal(adjacency_matrix(g), a)
+        assert np.array_equal(incidence_matrix(g), r)
+        got = laplacian(g)
+        assert np.array_equal(got, lap)
+        assert np.array_equal(np.signbit(got), np.signbit(lap))  # zeros stay +0.0
+
+    @given(graphs())
     def test_laplacian_rows_sum_to_zero(self, g):
         assert np.abs(laplacian(g).sum(axis=1)).max(initial=0.0) == 0.0
 
@@ -182,6 +202,19 @@ class TestPredicates:
         assert is_connected(path_graph(4))
         assert not is_connected(Graph(2))
         assert not is_connected(Graph(4, ((0, 1), (2, 3))))
+
+    def test_is_connected_searches_once_per_graph(self, monkeypatch):
+        searches = []
+
+        def counting_deque(*args):
+            searches.append(args)
+            return deque(*args)
+
+        monkeypatch.setattr(graphs_module, "deque", counting_deque)
+        g, h = cycle_graph(5), Graph(4, ((0, 1), (2, 3)))
+        assert (is_connected(g), is_connected(g)) == (True, True)
+        assert (is_connected(h), is_connected(h)) == (False, False)
+        assert len(searches) == 2
 
     def test_is_regular(self):
         assert is_regular(cycle_graph(4)) == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from coronakit import (
     complete_graph,
     cycle_graph,
     group_inverse_laplacian,
+    group_inverse_trace_and_sum,
     inverse,
     kron,
     laplacian,
@@ -173,3 +175,24 @@ class TestGroupInverse:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             group_inverse_laplacian([[1.0, -1.0], [0.0, 0.0]])
+
+    @given(connected_graphs(max_vertices=12))
+    def test_trace_and_sum_match_the_full_inverse(self, g):
+        m = laplacian(g)
+        x = group_inverse_laplacian(m)
+        trace, total = group_inverse_trace_and_sum(m)
+        assert trace == np.trace(x)
+        # 1'X1 is zero up to the rounding of a sum over n^2 entries
+        assert abs(total - x.sum()) <= 1e-12 * g.vertex_count**2
+
+    def test_trace_and_sum_reject_what_the_inverse_rejects(self):
+        for lap, error in (
+            (laplacian(disjoint_union(path_graph(2), path_graph(2))), PreconditionError),
+            (np.eye(3), ValueError),
+            ([[1.0, -1.0], [0.0, 0.0]], ValueError),
+            (np.zeros((0, 0)), ValueError),
+        ):
+            with pytest.raises(error) as want:
+                group_inverse_laplacian(lap)
+            with pytest.raises(error, match=re.escape(str(want.value))):
+                group_inverse_trace_and_sum(lap)

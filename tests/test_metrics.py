@@ -12,6 +12,7 @@ from coronakit import (
     BASE,
     COPY,
     SUBDIVISION,
+    CoronaKitError,
     Graph,
     PreconditionError,
     adjacency_matrix,
@@ -24,6 +25,7 @@ from coronakit import (
     degree_matrix,
     edge_copy_resistance_alt,
     group_inverse_laplacian,
+    group_inverse_trace_and_sum,
     is_regular,
     kf_edge_corona_regular,
     kf_vertex_corona,
@@ -44,6 +46,7 @@ from coronakit import (
     resistance_vertex_corona,
     vertex_copy_resistance_alt,
 )
+from coronakit import metrics
 
 
 class TestOracle:
@@ -285,6 +288,23 @@ class TestKirchhoffOracle:
         want = (n**3 - n) / 6
         assert kirchhoff_oracle(path_graph(n)).value == pytest.approx(want, rel=1e-9)
 
+    def test_value_is_n_times_the_group_inverse_trace(self):
+        # read off the dpotri triangle, bit for bit what the full X gives
+        grid = [(r * 23 + c, r * 23 + c + 1) for r in range(22) for c in range(22)]
+        grid += [(r * 23 + c, (r + 1) * 23 + c) for r in range(21) for c in range(23)]
+        for g in (path_graph(1500), Graph(22 * 23, grid), complete_graph(1), complete_graph(2)):
+            n = g.vertex_count
+            assert kirchhoff_oracle(g).value == n * np.trace(group_inverse_laplacian(laplacian(g)))
+
+    def test_self_check_catches_a_corrupted_pair_sum(self, monkeypatch):
+        def corrupted(lap):
+            trace, total = group_inverse_trace_and_sum(lap)
+            return trace, total + 1e-6 * (1.0 + lap.shape[0] * trace)
+
+        monkeypatch.setattr(metrics, "group_inverse_trace_and_sum", corrupted)
+        with pytest.raises(CoronaKitError, match="self-check"):
+            kirchhoff_oracle(path_graph(5))
+
 
 class TestKirchhoffClosedForms:
     def test_hand_instances(self):
@@ -373,6 +393,32 @@ class TestKirchhoffClosedForms:
         edge = total * bracket - (n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2) / (3.0 * r2)
         assert kf_edge_corona_regular(g1, g2).value == pytest.approx(edge, rel=1e-12)
         assert np.trace(c_inv) == pytest.approx(shifted_sum, rel=1e-13)
+
+    def test_equal_first_factors_share_one_oracle_call(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return kirchhoff_oracle(g)
+
+        monkeypatch.setattr(metrics, "kirchhoff_oracle", counting)
+        a = cycle_graph(5)
+        b = Graph(5, tuple(reversed(a.edges)))  # another object, equal by value
+        assert a is not b and a == b
+        first = kf_vertex_corona(a, complete_graph(2)).value
+        assert kf_vertex_corona(b, complete_graph(2)).value == first
+        kf_vertex_corona_regular(b, cycle_graph(4))
+        kf_edge_corona_regular(a, cycle_graph(3))
+        assert calls == [a]
+        kf_vertex_corona(path_graph(5), complete_graph(2))  # another value: one more call
+        assert calls == [a, path_graph(5)]
+
+    def test_disconnected_first_factor_raises_on_every_call(self):
+        g1 = Graph(4, ((0, 1), (2, 3)))
+        for _ in range(2):
+            for kf in (kf_vertex_corona, kf_vertex_corona_regular, kf_edge_corona_regular):
+                with pytest.raises(PreconditionError, match="first factor must be connected"):
+                    kf(g1, cycle_graph(3))
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

@@ -10,6 +10,7 @@ from coronakit import (
     corona,
     cycle_graph,
     edge_copy_resistance_alt,
+    laplacian,
     named_graph,
     path_graph,
     report_to_dict,
@@ -210,6 +211,26 @@ class TestKirchhoffOracleConsistency:
             row = rows[case_id]
             assert row.status == "pass"
             assert row.tolerance == 1e-8 * (1.0 + row.closed_form)
+
+
+class TestScaledBounds:
+    def test_metric_axioms_bound_scales_with_the_largest_resistance(self):
+        # the triangle-inequality rounding of P400 reaches 1.22e-10, above an absolute 1e-10
+        report = run_verification(pairs=[("P400", "K0")], include_instances=False)
+        assert report.passed
+        row = {c.case_id: c for c in report.cases}["metric-axioms/vertex/P400-K0"]
+        assert row.status == "pass"
+        assert row.tolerance == pytest.approx(1e-10 * 399.0, rel=1e-12)
+
+    def test_group_inverse_bound_scales_with_the_entries(self):
+        # on P1500 the residuals reach 1.66e-8, above an absolute 1e-8; the
+        # largest entry of X is (n - 1)(2n - 1) / 6n
+        col = verify._Collector(None)
+        x = verify._group_inverse_rows(col, "factor/P1500", laplacian(path_graph(1500)))
+        row = {c.case_id: c for c in col.cases}["group-inverse/factor/P1500"]
+        assert row.status == "pass"
+        assert row.tolerance == 1e-8 * np.abs(x).max()
+        assert row.tolerance == pytest.approx(1e-8 * 1499 * 2999 / 9000, rel=1e-12)
 
 
 def _copy_pair_reference(g1, g2, kind):
