@@ -85,10 +85,24 @@ def symmetric_eigenvalues(a) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    # invert a column-major symmetric matrix in place from one Cholesky
+    # factor; the result holds the inverse in its upper triangle and the
+    # factor's zeros below it.  The matrices inverted here are Laplacians made
+    # positive definite by a shift or by grounding, so a failed or tiny pivot
+    # means the graph is disconnected.
+    c, info = scipy.linalg.lapack.dpotrf(a, overwrite_a=True)
+    pivots = np.diag(c) ** 2
+    if info != 0 or float(pivots.min()) <= ENTRY_TOL * max(1.0, float(pivots.max())):
+        raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
+    x, info = scipy.linalg.lapack.dpotri(c, overwrite_c=True)
+    if info != 0:
+        raise SingularMatrixError("laplacian shift is singular to working tolerance")
+    return x
+
+
 def _shift_inverse(lap) -> np.ndarray:
-    # validate a Laplacian and invert L + J/n from one Cholesky factor; the
-    # result holds the inverse in its upper triangle and the factor's zeros
-    # below it.  A failed or tiny pivot means the graph is disconnected.
+    # validate a Laplacian and invert L + J/n, upper triangle only
     m = require_symmetric(lap, "laplacian")
     n = m.shape[0]
     if n == 0:
@@ -97,14 +111,7 @@ def _shift_inverse(lap) -> np.ndarray:
         raise ValueError("laplacian rows must sum to zero")
     # L + J/n is symmetric, so its transpose is the column-major array that
     # LAPACK factors and inverts in place, with no copy
-    c, info = scipy.linalg.lapack.dpotrf((m + 1.0 / n).T, overwrite_a=True)
-    pivots = np.diag(c) ** 2
-    if info != 0 or float(pivots.min()) <= ENTRY_TOL * max(1.0, float(pivots.max())):
-        raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
-    x, info = scipy.linalg.lapack.dpotri(c, overwrite_c=True)
-    if info != 0:
-        raise SingularMatrixError("laplacian shift is singular to working tolerance")
-    return x
+    return _cholesky_inverse((m + 1.0 / n).T)
 
 
 def group_inverse_laplacian(lap) -> np.ndarray:

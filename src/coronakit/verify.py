@@ -164,9 +164,10 @@ def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray) -> np.nda
         _max_abs(x @ lap @ x - x),
         _max_abs(lap @ x - x @ lap),
     )
-    # the residuals grow with the entries of X, as on long paths
-    col.check(f"group-inverse/{prefix}", residual, RESIDUAL_TOL * max(1.0, _max_abs(x)))
-    col.check(f"group-inverse-nullvector/{prefix}", _max_abs(x.sum(axis=1)), 1e-10)
+    # the residuals and the row sums grow with the entries of X, as on long paths
+    scale = max(1.0, _max_abs(x))
+    col.check(f"group-inverse/{prefix}", residual, RESIDUAL_TOL * scale)
+    col.check(f"group-inverse-nullvector/{prefix}", _max_abs(x.sum(axis=1)), 1e-10 * scale)
     kf_trace = float(lap.shape[0] * np.trace(x))
     kf_sum = float(resistance_matrix_from_one_inverse(x).sum() / 2.0)
     # the bound kirchhoff_oracle puts on the same two numbers

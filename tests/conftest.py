@@ -52,3 +52,22 @@ def connected_graphs(draw, min_vertices=1, max_vertices=7):
         extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
         edges.update(extra)
     return Graph(n, tuple(sorted(edges)))
+
+
+@st.composite
+def banded_connected_graphs(draw, max_vertices=150):
+    """Connected graphs whose edges away from the last vertex reach at most ``k`` apart.
+
+    A spanning tree whose edges all reach back at most ``k`` vertices, extra
+    edges of the same reach, and any edges to the last vertex.  ``k`` stays
+    at most 80, so graphs of more than 129 vertices, about half of those
+    drawn, split into several blocks of 64 or more.
+    """
+    n = draw(st.one_of(st.integers(1, max_vertices), st.integers(min(130, max_vertices), max_vertices)))
+    k = draw(st.integers(1, max(1, min(n - 1, 80))))
+    edges = {(draw(st.integers(max(0, v - k), v - 1)), v) for v in range(1, n)}
+    if n >= 2:
+        near = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + k + 1))]
+        edges.update(draw(st.lists(st.sampled_from(near), max_size=2 * n)))
+        edges.update((i, n - 1) for i in draw(st.lists(st.integers(0, n - 2), max_size=n)))
+    return Graph(n, tuple(sorted(edges)))

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import banded_connected_graphs, connected_graphs
 from coronakit import (
     BASE,
     COPY,
@@ -306,6 +307,102 @@ class TestKirchhoffOracle:
             kirchhoff_oracle(path_graph(5))
 
 
+def _banded(n: int, k: int) -> Graph:
+    # a path plus every chord (i, i + k): bandwidth exactly k when k < n
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + k) for i in range(n - k)])
+
+
+def _grid(a: int, b: int) -> Graph:
+    edges = [(r * b + c, r * b + c + 1) for r in range(a) for c in range(b - 1)]
+    edges += [(r * b + c, (r + 1) * b + c) for r in range(a - 1) for c in range(b)]
+    return Graph(a * b, edges)
+
+
+class TestGroundedKirchhoff:
+    """Kf(G1) by selected inversion of the Laplacian grounded at the last vertex."""
+
+    def test_long_path_is_exact_in_small_memory(self):
+        # Kf(P_n) = (n^3 - n) / 6; the dense n x n inverse would take 128 MB
+        n = 4000
+        g = path_graph(n)
+        tracemalloc.start()
+        try:
+            value = metrics._grounded_kirchhoff(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(value - (n**3 - n) / 6) <= 1e-13 * (n**3 - n) / 6
+        assert peak < 16 * 2**20
+
+    def test_cycle_is_exact(self):
+        # Kf(C_n) = (n^3 - n) / 12; the wrap edge meets the ground vertex
+        n = 1500
+        assert metrics._grounded_kirchhoff(cycle_graph(n)) == pytest.approx((n**3 - n) / 12, rel=1e-11)
+
+    def test_grid_matches_the_laplacian_spectrum(self):
+        # Gutman-Mohar: Kf = n sum 1/(lambda_j + mu_k) over the nonzero sums of
+        # the path eigenvalues 2 - 2 cos(pi j / a) and 2 - 2 cos(pi k / b)
+        a, b = 40, 50
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(a) / a)
+        mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(b) / b)
+        want = a * b * float(np.sum(1.0 / (lam[:, None] + mu[None, :]).ravel()[1:]))
+        assert metrics._grounded_kirchhoff(_grid(a, b)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(1),
+            complete_graph(2),
+            path_graph(3),
+            complete_graph(3),
+            # bandwidth 63, 64 and 65 with 256, 257 and 300 grounded vertices:
+            # blocks exactly as wide as the bandwidth, an uneven split, one block
+            _banded(257, 63),
+            _banded(257, 64),
+            _banded(258, 64),
+            _banded(261, 65),
+            _banded(301, 65),
+            _banded(301, 63),
+            _banded(100, 20),
+            # every edge at the ground vertex: a diagonal grounded matrix
+            Graph(200, [(i, 199) for i in range(199)]),
+            # the hub at the ground plus a long rim: the rim alone sets the blocks
+            Graph(300, [(i, 299) for i in range(299)] + [(i, i + 1) for i in range(298)]),
+        ],
+        ids=lambda g: f"n{g.vertex_count}-m{g.edge_count}",
+    )
+    def test_matches_the_oracle_at_block_edges(self, g):
+        want = kirchhoff_oracle(g).value
+        assert abs(metrics._grounded_kirchhoff(g) - want) <= 1e-12 * max(1.0, want)
+
+    @settings(max_examples=60)
+    @given(banded_connected_graphs(max_vertices=150))
+    def test_matches_the_oracle(self, g):
+        want = kirchhoff_oracle(g).value
+        assert abs(metrics._grounded_kirchhoff(g) - want) <= 1e-12 * max(1.0, want)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(3, ((0, 1),)),  # the ground vertex is isolated
+            Graph(3, ((1, 2),)),
+            # two paths, the one away from the ground in the first blocks
+            Graph(400, [(i, i + 1) for i in range(399) if i != 150]),
+        ],
+        ids=["ground-isolated", "vertex-isolated", "two-paths"],
+    )
+    def test_disconnected_graph_is_a_precondition_error(self, g):
+        with pytest.raises(PreconditionError, match=r"graph is disconnected \(algebraic connectivity is zero\)"):
+            metrics._grounded_kirchhoff(g)
+
+    def test_foster_self_check_catches_a_wrong_inverse(self, monkeypatch):
+        inverse = metrics._cholesky_inverse
+        monkeypatch.setattr(metrics, "_cholesky_inverse", lambda a: (1.0 + 1e-6) * inverse(a))
+        for g in (path_graph(5), path_graph(400)):
+            with pytest.raises(CoronaKitError, match="Foster"):
+                metrics._grounded_kirchhoff(g)
+
+
 class TestKirchhoffClosedForms:
     def test_hand_instances(self):
         k1, k2 = complete_graph(1), complete_graph(2)
@@ -394,14 +491,15 @@ class TestKirchhoffClosedForms:
         assert kf_edge_corona_regular(g1, g2).value == pytest.approx(edge, rel=1e-12)
         assert np.trace(c_inv) == pytest.approx(shifted_sum, rel=1e-13)
 
-    def test_equal_first_factors_share_one_oracle_call(self, monkeypatch):
+    def test_equal_first_factors_share_one_computation(self, monkeypatch):
         calls = []
+        grounded = metrics._grounded_kirchhoff
 
         def counting(g):
             calls.append(g)
-            return kirchhoff_oracle(g)
+            return grounded(g)
 
-        monkeypatch.setattr(metrics, "kirchhoff_oracle", counting)
+        monkeypatch.setattr(metrics, "_grounded_kirchhoff", counting)
         a = cycle_graph(5)
         b = Graph(5, tuple(reversed(a.edges)))  # another object, equal by value
         assert a is not b and a == b

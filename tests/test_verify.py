@@ -232,6 +232,16 @@ class TestScaledBounds:
         assert row.tolerance == 1e-8 * np.abs(x).max()
         assert row.tolerance == pytest.approx(1e-8 * 1499 * 2999 / 9000, rel=1e-12)
 
+    def test_null_vector_bound_scales_with_the_entries(self):
+        # on P2000 the row sums of X reach 2.33e-10, above an absolute 1e-10,
+        # while the largest entry of X is 666
+        col = verify._Collector(None)
+        x = verify._group_inverse_rows(col, "factor/P2000", laplacian(path_graph(2000)))
+        row = {c.case_id: c for c in col.cases}["group-inverse-nullvector/factor/P2000"]
+        assert row.status == "pass"
+        assert row.tolerance == 1e-10 * np.abs(x).max()
+        assert row.tolerance == pytest.approx(1e-10 * 1999 * 3999 / 12000, rel=1e-12)
+
 
 def _copy_pair_reference(g1, g2, kind):
     # the per-pair loop the copy-pair-alt row once ran: the last pair of largest drift
