@@ -12,10 +12,14 @@ Two independent routes to every quantity:
       r = W_pp + W_qq - 2 W_pq [i = j] + S#_ii + S#_jj - 2 S#_ij,
 
   which serves single pairs and, broadcast, the whole matrix; plus closed
-  Kirchhoff-index expressions that never touch the product at all.
+  Kirchhoff-index expressions that never touch the product at all.  Their
+  one first-factor input, ``Kf(G1)``, comes from a selected inversion of
+  the Laplacian grounded at the last vertex, block by block, at a cost of
+  about ``n s^2`` for ``s = max(bandwidth, 64)``.
 
 The oracle route is deliberately kept free of any shared code with the
-assembly so agreement between the two is meaningful evidence.
+assembly, and shares no factorization with ``Kf(G1)``, so agreement between
+the two is meaningful evidence.
 """
 from __future__ import annotations
 
@@ -210,11 +214,14 @@ def metric_violation(values) -> float:
 def kirchhoff_oracle(g: Graph) -> KirchhoffResult:
     """Kirchhoff index as n times the trace of the Laplacian group inverse.
 
-    Cross-checked internally against the unordered-pair resistance sum,
-    ``n tr X - 1'X1``, which both come from ``group_inverse_trace_and_sum``
-    without forming ``X`` or a resistance matrix; disagreement beyond
-    ``RESIDUAL_TOL`` relative to ``1 + Kf`` raises, since that would mean
-    the oracle itself is broken.
+    The dense reference: one Cholesky inverse of ``L + J/n``, ``n^3`` work
+    and ``n^2`` memory.  The closed forms take ``Kf(G1)`` from a separate
+    route, a selected inversion of the grounded Laplacian, so this oracle
+    and the closed forms share no factorization.  Cross-checked internally
+    against the unordered-pair resistance sum, ``n tr X - 1'X1``, which both
+    come from ``group_inverse_trace_and_sum`` without forming ``X`` or a
+    resistance matrix; disagreement beyond ``RESIDUAL_TOL`` relative to
+    ``1 + Kf`` raises, since that would mean the oracle itself is broken.
     """
     if not is_connected(g):
         raise PreconditionError("Kirchhoff index needs a connected graph")
@@ -233,8 +240,10 @@ def kirchhoff_pair_sum(g: Graph) -> KirchhoffResult:
     return KirchhoffResult(value=float(resistance_oracle(g).sum() / 2.0), method="oracle-sum")
 
 
-# Smallest block of grounded vertices: the fastest of 32, 64 and 128 on a
-# 1500-vertex path and a 22 x 23 grid.
+# Smallest block of grounded vertices.  Smaller blocks take fewer flops and
+# more Python steps: with one BLAS thread, 32 and 64 were within 15 % of each
+# other on paths and grids of 500 to 4000 vertices, and 128 was 2.5 times
+# slower.
 _MIN_BLOCK = 64
 
 
@@ -285,6 +294,7 @@ def _grounded_kirchhoff(g: Graph) -> float:
     # forward: S_b^-1 and P_b block by block, with the 1'M1 sum
     inverses, couplings, local = [], [], []
     total = 0.0
+    rhs = np.ones(bounds[1])  # g_0
     for b in range(count):
         lo, hi = bounds[b], bounds[b + 1]
         eu, ev = u[first[b] : first[b + 1]] - lo, v[first[b] : first[b + 1]] - lo
@@ -296,23 +306,21 @@ def _grounded_kirchhoff(g: Graph) -> float:
         s[iv, iu] = -1.0
         s[iu, iv] = -1.0
         np.fill_diagonal(s, degrees[lo:hi])
-        rhs = np.ones(hi - lo)  # g_b
         if b:
             s -= p @ coupling.T
-            rhs -= p @ rhs_prev
         # S_b is symmetric, so its transpose is the column-major array LAPACK
         # inverts in place; read back, the inverse is the lower triangle
         z = _cholesky_inverse(s.T).T
         z += z.T  # the triangle plus its mirror, diagonal doubled exactly
         z.reshape(-1)[:: len(z) + 1] *= 0.5
         total += float(rhs @ z @ rhs)
-        rhs_prev = rhs
         inverses.append(z)
         if b < count - 1:
             coupling = np.zeros((bounds[b + 2] - hi, hi - lo))  # B_b
             coupling[cv, cu] = -1.0
             p = coupling @ z
             couplings.append(p)
+            rhs = 1.0 - p @ rhs  # g_{b+1}
 
     # backward: the Takahashi recurrence, reading M on the edges as it goes
     diagonal = np.empty(size)
@@ -330,8 +338,10 @@ def _grounded_kirchhoff(g: Graph) -> float:
         diagonal[bounds[b] : bounds[b + 1]] = m.diagonal()
         m_next = m
 
-    ground = ends[~away, 0]
-    foster = float((diagonal[u] + diagonal[v] - 2.0 * on_edges).sum() + diagonal[ground].sum())
+    # Foster: the edge resistances M_uu + M_vv - 2 M_uv, and M_uu for an edge
+    # at the ground, sum to n - 1; gathered by vertex, the diagonal terms are
+    # each vertex's degree times M_uu
+    foster = float(degrees[:size] @ diagonal - 2.0 * on_edges.sum())
     if abs(foster - size) > RESIDUAL_TOL * size:
         raise CoronaKitError(f"grounded inverse self-check failed: Foster sum {foster} vs {size}")
     return float(n * diagonal.sum() - total)
