@@ -291,9 +291,7 @@ class TestKirchhoffOracle:
 
     def test_value_is_n_times_the_group_inverse_trace(self):
         # read off the dpotri triangle, bit for bit what the full X gives
-        grid = [(r * 23 + c, r * 23 + c + 1) for r in range(22) for c in range(22)]
-        grid += [(r * 23 + c, (r + 1) * 23 + c) for r in range(21) for c in range(23)]
-        for g in (path_graph(1500), Graph(22 * 23, grid), complete_graph(1), complete_graph(2)):
+        for g in (path_graph(1500), _grid(22, 23), complete_graph(1), complete_graph(2)):
             n = g.vertex_count
             assert kirchhoff_oracle(g).value == n * np.trace(group_inverse_laplacian(laplacian(g)))
 
@@ -355,8 +353,9 @@ class TestGroundedKirchhoff:
             complete_graph(2),
             path_graph(3),
             complete_graph(3),
-            # bandwidth 63, 64 and 65 with 256, 257 and 300 grounded vertices:
-            # blocks exactly as wide as the bandwidth, an uneven split, one block
+            # bandwidth 63, 64 and 65: 256 and 260 grounded vertices split into
+            # four blocks exactly 64 or 65 wide, 257 and 300 into four uneven
+            # ones; 99 grounded vertices of bandwidth 20 stay one block
             _banded(257, 63),
             _banded(257, 64),
             _banded(258, 64),
