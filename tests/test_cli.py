@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -12,12 +13,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coronakit import (
+    ENTRY_TOL,
+    closed_form_resistance_matrix,
     complete_graph,
+    corona,
     corona_vertex,
+    cycle_graph,
     format_edge_list,
     parse_edge_list,
     path_graph,
     resistance_oracle,
+    star_graph,
 )
 from coronakit import cli
 from coronakit.cli import format_float, main, render_csv, render_json
@@ -115,6 +121,8 @@ def reference_csv(matrix) -> str:
 
 
 AWKWARD = [-0.0, 5e-324, 1e300, 0.1, 5.0, 2.0**53, 1.0 / 3.0, -1e-300, 123456789.125]
+# a small pool, so that repeats and both signed zeros are common
+POOL = [-0.0, 0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300]
 
 
 class TestRowKernel:
@@ -138,10 +146,40 @@ class TestRowKernel:
         self.assert_same(a)
         self.assert_same(np.vstack([a, -a[::-1]]))
 
-    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 1), (3, 4), (0,), (0, 3), (3, 0), (0, 0), (2, 2, 3)])
-    def test_shapes(self, shape):
-        a = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) / 7.0
+    def test_float32_repeats(self):
+        pool = np.array([-0.0, 0.0, 1e-45, 0.1, 1.0 / 3.0, 3e38], dtype=np.float32)
+        a = np.resize(pool, (6, 7))
         self.assert_same(a)
+        self.assert_same(a.T)
+
+    def test_signed_zeros_keep_their_text(self):
+        a = np.resize(np.array(POOL), (4, 9))
+        self.assert_same(a)
+        assert render_csv(np.array([[0.0, -0.0], [-0.0, 0.0]])) == "0,-0\n-0,0\n"
+
+    def test_non_contiguous_inputs(self):
+        a = np.resize(np.array(POOL + AWKWARD), (6, 10))
+        views = [a.T, a[:, ::2], np.asfortranarray(a), a[::-1, 1::3]]
+        for view in views:
+            assert not view.flags.c_contiguous
+            self.assert_same(view)
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 1), (3, 4), (0,), (0, 3), (3, 0), (0, 0), (2, 2, 3), ()])
+    def test_shapes(self, shape):
+        a = (np.arange(np.prod(shape), dtype=np.float64) / 7.0).reshape(shape)
+        self.assert_same(a)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_blocks_join_up(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_BLOCK_ENTRIES", block)
+        a = np.resize(np.array(POOL + AWKWARD), (7, 9))
+        self.assert_same(a)
+        self.assert_same(a[:, :1])
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 3)])
+    def test_csv_needs_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            render_csv(np.zeros(shape))
 
     def test_empty_csv_is_one_newline(self):
         assert render_csv(np.zeros((0, 0))) == "\n"
@@ -155,8 +193,13 @@ class TestRowKernel:
     def test_finite_matrices(self, a):
         self.assert_same(a)
 
+    @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                  elements=st.sampled_from(POOL)))
+    def test_matrices_with_repeats(self, a):
+        self.assert_same(a)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("shape,at", [((4,), (3,)), ((3, 3), (0, 0)), ((3, 3), (2, 1)), ((2, 2, 2), (1, 1, 1))])
+    @pytest.mark.parametrize("shape,at", [((4,), (3,)), ((3, 3), (0, 0)), ((3, 3), (2, 1)), ((2, 2, 2), (1, 1, 1)), ((), ())])
     def test_non_finite_anywhere_raises(self, bad, shape, at):
         a = np.ones(shape)
         a[at] = bad
@@ -250,6 +293,29 @@ class TestResistance:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_deviation"] < 1e-9
         assert "closed_form" in payload and "oracle" in payload
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_both_file_matches_reference(self, tmp_path, kind):
+        # S3 x C4 repeats each value many times: the row kernel formats each once
+        g1, g2 = star_graph(3), cycle_graph(4)
+        out = tmp_path / "both.json"
+        argv = ["resistance", "--kind", kind, "--g1", write_graph(tmp_path, "s3.txt", g1),
+                "--g2", write_graph(tmp_path, "c4.txt", g2), "--method", "both", "--out", str(out)]
+        assert main(argv) == 0
+        closed = closed_form_resistance_matrix(g1, g2, kind)
+        oracle = resistance_oracle(corona(g1, g2, kind).product)
+        assert np.unique(closed).size * 10 < closed.size
+        payload = {
+            "command": "resistance",
+            "kind": kind,
+            "method": "both",
+            "n": closed.shape[0],
+            "closed_form": closed,
+            "oracle": oracle,
+            "max_deviation": float(np.abs(closed - oracle).max()),
+            "tolerance": ENTRY_TOL,
+        }
+        assert out.read_text() == reference_json(payload)
 
     def test_both_rejects_csv(self, k1, k2, capsys):
         code = main(
