@@ -201,7 +201,6 @@ def cmd_resistance(args) -> int:
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
     layout = corona(g1, g2, args.kind)
-    bound = args.tolerance if args.tolerance is not None else ENTRY_TOL
 
     payload: dict = {
         "command": "resistance",
@@ -218,6 +217,7 @@ def cmd_resistance(args) -> int:
         closed = closed_form_resistance_matrix(g1, g2, args.kind)
         oracle = resistance_oracle(layout.product)
         deviation = float(np.abs(closed - oracle).max()) if closed.size else 0.0
+        bound = args.tolerance or ENTRY_TOL * max(1.0, float(oracle.max()))
         payload["closed_form"] = closed
         payload["oracle"] = oracle
         payload["max_deviation"] = deviation

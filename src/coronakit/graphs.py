@@ -39,7 +39,7 @@ EDGE_KIND = "edge"
 Coord = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Immutable simple undirected graph.
 
@@ -47,65 +47,64 @@ class Graph:
     ----------
     vertex_count : int
         Number of vertices, labeled ``0..vertex_count-1``.
-    edges : iterable of (int, int)
-        Unordered endpoint pairs.  Stored sorted with ``u < v``; self-loops,
-        duplicates and out-of-range endpoints are rejected.
+    edges : iterable of (int, int), or an (m, 2) integer array
+        Unordered endpoint pairs, stored once as a read-only int64 ``(m, 2)``
+        array of sorted rows ``u < v``; ``edges`` is a tuple built from it on
+        each read.  Self-loops, duplicates, out-of-range endpoints and input
+        that is not pairs raise ``ValueError``.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...] = ()
+    _ends: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges=()) -> None:
+        n = vertex_count
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError("vertex_count must be an integer")
         n = int(n)
         if n < 0:
             raise ValueError("vertex_count must be non-negative")
-        canon = []
-        for pair in self.edges:
-            u, v = pair
-            u, v = int(u), int(v)
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if ends.shape != (0,) and (ends.ndim != 2 or ends.shape[1] != 2):
+            raise ValueError(f"edges must be (u, v) pairs, got shape {ends.shape}")
+        ends = ends.reshape(-1, 2)
+        lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
+        # the first offender in input order, as a loop over the edges would find it
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            u, v = ends[bad.argmax()].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for prev, cur in zip(canon, canon[1:]):
-            if prev == cur:
-                raise ValueError(f"duplicate edge {cur}")
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        # u*n + v sorts the pairs as tuples would; a duplicate is reported at
+        # its first occurrence in that order
+        keys = np.sort(lo * n + hi)
+        same = keys[1:] == keys[:-1]
+        if same.any():
+            raise ValueError(f"duplicate edge {divmod(int(keys[same.argmax()]), n)}")
+        ends = np.column_stack(np.divmod(keys, n))
+        ends.flags.writeable = False
         object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "_ends", ends)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and np.array_equal(self._ends, other._ends)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self._ends.tobytes()))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self._ends.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def _ends(self) -> np.ndarray:
-        # the edges as one int64 (m, 2) array, built once per graph; every
-        # matrix is filled from it by fancy indexing
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        ends.flags.writeable = False
-        return ends
+        return len(self._ends)
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self._ends.ravel(), minlength=self.vertex_count)
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        # built once per graph; sorted because edges are in canonical order
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(tuple, adj))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.vertex_count:
-            raise IndexError(f"vertex {v} out of range")
-        return self._adjacency[v]
 
     @cached_property
     def _connected(self) -> bool:
@@ -113,7 +112,10 @@ class Graph:
         n = self.vertex_count
         if n <= 1:
             return True
-        adj = self._adjacency
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self._ends.tolist():
+            adj[u].append(v)
+            adj[v].append(u)
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
         queue = deque([0])
@@ -184,12 +186,9 @@ def subdivision(g: Graph) -> Graph:
     Original vertices keep their labels; the vertex inserted into edge
     ``e`` (canonical order) gets label ``n + e``.
     """
-    n = g.vertex_count
-    edges = []
-    for e, (u, v) in enumerate(g.edges):
-        edges.append((u, n + e))
-        edges.append((v, n + e))
-    return Graph(n + g.edge_count, tuple(edges))
+    n, m = g.vertex_count, g.edge_count
+    # every first end, then every second end, each joined to its edge's new vertex
+    return Graph(n + m, np.column_stack([g._ends.T.ravel(), np.tile(n + np.arange(m), 2)]))
 
 
 def is_connected(g: Graph) -> bool:
@@ -277,7 +276,7 @@ class CoronaLayout:
         lifted = gadget[:, None, :] * n1 + np.arange(n1)[:, None]
         roots = root * n1 + self.g1._ends
         edges = np.concatenate([roots, lifted.reshape(-1, 2)])
-        return Graph(self.n, tuple(map(tuple, edges.tolist())))
+        return Graph(self.n, edges)
 
     @property
     def subdivision_count(self) -> int:
@@ -409,10 +408,9 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError(None, "missing 'n m' header line")
     if len(edges) != header[1]:
         raise EdgeListError(None, f"declared {header[1]} edges but found {len(edges)}")
-    return Graph(header[0], tuple(edges))
+    return Graph(header[0], edges)
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    body = "%d %d\n" * g.edge_count % tuple(g._ends.ravel().tolist())
+    return f"{g.vertex_count} {g.edge_count}\n" + body

@@ -313,9 +313,22 @@ class TestResistance:
             "closed_form": closed,
             "oracle": oracle,
             "max_deviation": float(np.abs(closed - oracle).max()),
-            "tolerance": ENTRY_TOL,
+            "tolerance": ENTRY_TOL * max(1.0, float(oracle.max())),
         }
         assert out.read_text() == reference_json(payload)
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_both_bound_scales_with_largest_resistance(self, tmp_path, capsys, kind):
+        g1, g2 = path_graph(30), cycle_graph(4)
+        argv = ["resistance", "--kind", kind, "--g1", write_graph(tmp_path, "p30.txt", g1),
+                "--g2", write_graph(tmp_path, "c4.txt", g2), "--method", "both"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        largest = float(resistance_oracle(corona(g1, g2, kind).product).max())
+        assert largest > 29.0
+        assert payload["tolerance"] == ENTRY_TOL * largest
+        assert main(argv + ["--tolerance", "1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-6
 
     def test_both_rejects_csv(self, k1, k2, capsys):
         code = main(

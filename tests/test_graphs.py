@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
 from coronakit import (
@@ -23,6 +24,7 @@ from coronakit import (
     incidence_matrix,
     is_connected,
     is_regular,
+    kf_vertex_corona,
     laplacian,
     parse_edge_list,
     path_graph,
@@ -30,6 +32,7 @@ from coronakit import (
     subdivision,
 )
 from coronakit import graphs as graphs_module
+from coronakit import metrics
 
 
 def triple_loop_corona(g1: Graph, g2: Graph, kind: str) -> Graph:
@@ -57,6 +60,30 @@ def triple_loop_corona(g1: Graph, g2: Graph, kind: str) -> Graph:
         else:
             edges.extend((base(i), sub(e, i)) for e in range(m2))
     return Graph(n1 * (1 + n2 + m2), tuple(edges))
+
+
+def loop_canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    # the per-edge validation Graph was first built with, kept as the reference
+    canon = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        canon.append((u, v) if u < v else (v, u))
+    canon.sort()
+    for prev, cur in zip(canon, canon[1:]):
+        if prev == cur:
+            raise ValueError(f"duplicate edge {cur}")
+    return tuple(canon)
+
+
+@st.composite
+def pair_lists(draw):
+    # vertex count and endpoint pairs, self-loops, repeats and ends one out of range included
+    n = draw(st.integers(0, 6))
+    end = st.integers(-1, n)
+    return n, draw(st.lists(st.tuples(end, end), max_size=12))
 
 
 def two_colorable(g: Graph) -> bool:
@@ -102,29 +129,87 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(-1)
 
-    def test_degrees_and_neighbors(self):
-        g = path_graph(3)
-        assert list(g.degrees()) == [1, 2, 1]
-        assert g.neighbors(1) == (0, 2)
-        with pytest.raises(IndexError):
-            g.neighbors(3)
-
-    @given(graphs())
-    def test_neighbors_match_edge_scan(self, g):
-        for v in range(g.vertex_count):
-            scan = sorted([b for a, b in g.edges if a == v] + [a for a, b in g.edges if b == v])
-            assert g.neighbors(v) == tuple(scan)
-        # the adjacency cached by neighbors() takes no part in equality
-        assert g == Graph(g.vertex_count, g.edges)
-        assert hash(g) == hash(Graph(g.vertex_count, g.edges))
-
     def test_factories(self):
         assert complete_graph(4).edge_count == 6
         assert path_graph(5).edge_count == 4
         assert cycle_graph(4).edge_count == 4
         assert star_graph(3).edges == ((0, 1), (0, 2), (0, 3))
+        assert list(path_graph(3).degrees()) == [1, 2, 1]
         with pytest.raises(ValueError):
             cycle_graph(2)
+
+
+class TestConstruction:
+    @given(graphs())
+    def test_array_input_equals_tuple_input(self, g):
+        # rows reversed and each pair flipped: the stored array is canonical either way
+        flipped = np.array(g.edges, dtype=np.int64).reshape(-1, 2)[::-1, ::-1]
+        h = Graph(g.vertex_count, flipped)
+        assert h == g and hash(h) == hash(g)
+        assert h.edges == g.edges
+        assert np.array_equal(h._ends, g._ends) and h._ends.dtype == np.int64
+
+    def test_array_and_tuple_input_share_one_memo_entry(self):
+        a = cycle_graph(6)
+        b = Graph(6, np.array([[5, 0], [4, 5], [3, 4], [2, 3], [1, 2], [0, 1]]))
+        assert a is not b
+        assert kf_vertex_corona(a, complete_graph(2)).value == kf_vertex_corona(b, complete_graph(2)).value
+        assert metrics._first_factor_kirchhoff.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_messages_at_first_offender_in_input_order(self, as_array):
+        def build(n, pairs):
+            return Graph(n, np.array(pairs) if as_array else pairs)
+
+        with pytest.raises(ValueError) as err:
+            build(4, [(0, 1), (3, 3), (0, 9), (2, 2)])
+        assert str(err.value) == "self-loop at vertex 3"
+        with pytest.raises(ValueError) as err:
+            build(4, [(0, 1), (9, 0), (2, 2), (-1, 3)])
+        assert str(err.value) == "edge (9, 0) out of range for 4 vertices"
+
+    def test_duplicate_reported_at_first_in_sorted_order(self):
+        # in input order (2, 3) repeats first; in sorted order (0, 1) does
+        with pytest.raises(ValueError) as err:
+            Graph(4, [(2, 3), (3, 2), (1, 0), (0, 1)])
+        assert str(err.value) == "duplicate edge (0, 1)"
+
+    @given(pair_lists())
+    def test_matches_the_per_edge_loop(self, case):
+        n, pairs = case
+        try:
+            want = loop_canonical_edges(n, pairs)
+        except ValueError as err:
+            for given in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+                with pytest.raises(ValueError) as got:
+                    Graph(n, given)
+                assert str(got.value) == str(err)
+        else:
+            assert Graph(n, pairs).edges == want
+            assert Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)).edges == want
+
+    def test_rejects_input_that_is_not_pairs(self):
+        for bad in ([(0, 1, 2, 3)], [(0, 1), (1, 2, 3)], [()], [0, 1], np.zeros((2, 3), dtype=np.int64)):
+            with pytest.raises(ValueError):
+                Graph(4, bad)
+
+    def test_empty_input_is_edgeless(self):
+        for empty in ((), [], np.empty((0, 2), dtype=np.int64)):
+            g = Graph(3, empty)
+            assert g == Graph(3) and g.edge_count == 0 and g.edges == ()
+            assert g._ends.shape == (0, 2)
+
+    def test_immutable(self):
+        g = path_graph(3)
+        assert not g._ends.flags.writeable
+        with pytest.raises(ValueError):
+            g._ends[0, 0] = 2
+        for name, value in (("vertex_count", 4), ("_ends", np.zeros((0, 2))), ("edges", ())):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        with pytest.raises(AttributeError):
+            del g.vertex_count
+        assert g == path_graph(3)
 
 
 class TestMatrices:
@@ -156,6 +241,8 @@ class TestMatrices:
         got = laplacian(g)
         assert np.array_equal(got, lap)
         assert np.array_equal(np.signbit(got), np.signbit(lap))  # zeros stay +0.0
+        assert g == Graph(n, g.edges)
+        assert hash(g) == hash(Graph(n, g.edges))
 
     @given(graphs())
     def test_laplacian_rows_sum_to_zero(self, g):
@@ -193,6 +280,9 @@ class TestDerivedGraphs:
         assert s.vertex_count == g.vertex_count + g.edge_count
         assert s.edge_count == 2 * g.edge_count
         assert two_colorable(s)
+        n = g.vertex_count
+        loop = [(u, n + e) for e, (u, v) in enumerate(g.edges)] + [(v, n + e) for e, (u, v) in enumerate(g.edges)]
+        assert s == Graph(n + g.edge_count, loop)
 
 
 class TestPredicates:
@@ -334,6 +424,8 @@ class TestEdgeListFormat:
     @given(graphs())
     def test_round_trip(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+        lines = [f"{g.vertex_count} {g.edge_count}"] + [f"{u} {v}" for u, v in g.edges]
+        assert format_edge_list(g) == "\n".join(lines) + "\n"
 
     def test_comments_and_blank_lines(self):
         text = "# a triangle\n\n3 3\n0 1  # first\n1 2\n\n0 2\n"
