@@ -9,11 +9,12 @@ import argparse
 import sys
 
 from coronakit import run_verification
+from coronakit.cli import _positive_float
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tolerance", type=float, help="override every pass/fail bound")
+    parser.add_argument("--tolerance", type=_positive_float, help="override every pass/fail bound")
     parser.add_argument(
         "--pair",
         nargs=2,

@@ -232,36 +232,31 @@ def cmd_resistance(args) -> int:
     return exit_code
 
 
-_FORMULA_KIND = {"thm4.1": "vertex", "cor4.2": "vertex", "thm4.3": "edge"}
+# --formula -> (product kind, closed form); the oracle takes its kind from --kind
+_FORMULAS = {
+    "thm4.1": ("vertex", kf_vertex_corona),
+    "cor4.2": ("vertex", kf_vertex_corona_regular),
+    "thm4.3": ("edge", kf_edge_corona_regular),
+    "oracle": (None, None),
+}
 
 
 def cmd_kirchhoff(args) -> int:
-    if args.formula == "oracle":
+    kind, closed_form = _FORMULAS[args.formula]
+    if closed_form is None:
         if args.kind is None:
             print("error: --formula oracle requires --kind", file=sys.stderr)
             return EXIT_USAGE
         kind = args.kind
-    else:
-        kind = _FORMULA_KIND[args.formula]
-        if args.kind is not None and args.kind != kind:
-            print(
-                f"error: --formula {args.formula} applies to the {kind} product",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    elif args.kind is not None and args.kind != kind:
+        print(f"error: --formula {args.formula} applies to the {kind} product", file=sys.stderr)
+        return EXIT_USAGE
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
     layout = corona(g1, g2, kind)
     # formula preconditions first, so their message wins over a downstream
     # disconnected-product complaint from the oracle
-    if args.formula == "thm4.1":
-        result = kf_vertex_corona(g1, g2)
-    elif args.formula == "cor4.2":
-        result = kf_vertex_corona_regular(g1, g2)
-    elif args.formula == "thm4.3":
-        result = kf_edge_corona_regular(g1, g2)
-    else:
-        result = None
+    result = closed_form(g1, g2) if closed_form is not None else None
     oracle = kirchhoff_oracle(layout.product)
     if result is None:
         result = oracle
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_resistance)
 
     k = sub.add_parser("kirchhoff", help="Kirchhoff index of a product")
-    k.add_argument("--formula", choices=("thm4.1", "cor4.2", "thm4.3", "oracle"), required=True)
+    k.add_argument("--formula", choices=tuple(_FORMULAS), required=True)
     k.add_argument("--g1", required=True)
     k.add_argument("--g2", required=True)
     k.add_argument("--kind", choices=("vertex", "edge"), help="product kind (needed with --formula oracle)")
@@ -373,24 +368,14 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except EdgeListError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (EdgeListError, OSError, ValueError) as exc:
+        error, code = exc, EXIT_USAGE
+    except (PreconditionError, SingularMatrixError) as exc:
+        error, code = exc, EXIT_PRECONDITION
     except CoronaKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        error, code = exc, EXIT_VERIFY_FAILED
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

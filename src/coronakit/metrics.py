@@ -354,32 +354,32 @@ def _first_factor_kirchhoff(g1: Graph) -> float:
     return _grounded_kirchhoff(g1)
 
 
-def _kf_common(g1: Graph, g2: Graph, kind: str) -> tuple[float, int]:
-    # preconditions before the first factor's oracle; returns (Kf(G1), r2)
-    r2 = _require_factors(g1, g2, kind)
-    return _first_factor_kirchhoff(g1), r2
+def _kirchhoff_bracket(g1: Graph, g2: Graph, c: float, t: float, s: float) -> float:
+    # n1 (1 + n2 + m2) times the bracket of Thm 4.1, Cor 4.2 and Thm 4.3, with
+    # c = 2 (vertex) or 3 (edge) and each theorem's trace term t and shifted sum
+    # s; callers check every precondition first, so a raise never fills the memo
+    n1 = g1.vertex_count
+    n2, m2 = g2.vertex_count, g2.edge_count
+    bracket = (
+        n1 * m2 / c
+        + (n1 / c) * t
+        + c * n1 * s
+        + ((m2 + n2 + 1) / n1) * _first_factor_kirchhoff(g1)
+    )
+    return n1 * (1 + n2 + m2) * bracket
 
 
 def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the vertex product, any second factor."""
-    kf1, _ = _kf_common(g1, g2, VERTEX_KIND)
-    n1 = g1.vertex_count
-    n2, m2 = g2.vertex_count, g2.edge_count
-    total = n1 * (1 + n2 + m2)
-    a2 = adjacency_matrix(g2)
+    _require_factors(g1, g2, VERTEX_KIND)
+    n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
     degrees = g2.degrees().astype(np.float64)
     q_inv = _shifted_inverse(g2, 2.0)
-    shifted_sum = float(np.trace(q_inv))  # sum 1/(mu_i + 2) over the spectrum of L2
     # tr(Q^-1 A2) + tr(Q^-1 D2) without the n2^3 products: A2 is symmetric, D2 diagonal
-    trace_terms = float(np.sum(q_inv * a2) + q_inv.diagonal() @ degrees)
-    bracket = (
-        n1 * m2 / 2.0
-        + (n1 / 2.0) * trace_terms
-        + 2.0 * n1 * shifted_sum
-        + ((m2 + n2 + 1) / n1) * kf1
-    )
+    trace_terms = float(np.sum(q_inv * adjacency_matrix(g2)) + q_inv.diagonal() @ degrees)
+    # S = tr Q^-1, the sum of 1/(mu_i + 2) over the spectrum of L2
     value = (
-        total * bracket
+        _kirchhoff_bracket(g1, g2, 2.0, trace_terms, float(np.trace(q_inv)))
         - (n1 / 2.0) * float(degrees @ q_inv @ degrees)
         - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
     )
@@ -391,24 +391,16 @@ def kf_vertex_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
 
     Degree zero is allowed; only regularity matters here.
     """
-    kf1, _ = _kf_common(g1, g2, VERTEX_KIND)
+    _require_factors(g1, g2, VERTEX_KIND)
     r2 = is_regular(g2)
     if r2 is None:
         raise PreconditionError("this formula needs a regular second factor")
-    n1 = g1.vertex_count
-    n2, m2 = g2.vertex_count, g2.edge_count
-    total = n1 * (1 + n2 + m2)
+    n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
     mu = symmetric_eigenvalues(laplacian(g2))
     shifted_sum = float(np.sum(1.0 / (mu + 2.0)))
-    mu_ratio = float(np.sum(mu / (mu + 2.0)))
-    bracket = (
-        n1 * m2 / 2.0
-        + (n1 / 2.0) * (2.0 * r2 * shifted_sum - mu_ratio)
-        + 2.0 * n1 * shifted_sum
-        + ((m2 + n2 + 1) / n1) * kf1
-    )
+    trace_terms = 2.0 * r2 * shifted_sum - float(np.sum(mu / (mu + 2.0)))
     value = (
-        total * bracket
+        _kirchhoff_bracket(g1, g2, 2.0, trace_terms, shifted_sum)
         - n1 * n2 * r2 * r2 / 4.0
         - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
     )
@@ -421,18 +413,12 @@ def kf_edge_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     Needs a regular second factor of degree at least 1; otherwise the
     product is disconnected and the index is undefined.
     """
-    kf1, r2 = _kf_common(g1, g2, EDGE_KIND)
-    n1 = g1.vertex_count
-    n2, m2 = g2.vertex_count, g2.edge_count
-    total = n1 * (1 + n2 + m2)
-    a2 = adjacency_matrix(g2)
+    r2 = _require_factors(g1, g2, EDGE_KIND)
+    n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
     c_inv = _shifted_inverse(g2, float(r2))
     shifted_sum = float(np.trace(c_inv))  # sum 1/(mu_i + r2) over the spectrum of L2
-    bracket = (
-        n1 * m2 / 3.0
-        + (n1 / 3.0) * (float(np.sum(c_inv * a2)) + r2 * shifted_sum)
-        + 3.0 * n1 * shifted_sum
-        + ((m2 + n2 + 1) / n1) * kf1
-    )
-    value = total * bracket - (n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2) / (3.0 * r2)
+    trace_terms = float(np.sum(c_inv * adjacency_matrix(g2))) + r2 * shifted_sum
+    value = _kirchhoff_bracket(g1, g2, 3.0, trace_terms, shifted_sum) - (
+        n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2
+    ) / (3.0 * r2)
     return KirchhoffResult(value=value, method="theorem-4.3")

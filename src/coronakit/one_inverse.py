@@ -19,11 +19,11 @@ with ``S#`` the group inverse of ``L(G1)``, ``J_b`` the all-ones matrix and
 Here ``R2`` is the incidence matrix of the second factor and ``Q`` its
 shifted Laplacian: ``L2 + 2I`` with ``c = 2`` for the vertex product, or
 ``L2 + r2 I`` with ``c = 3`` for the edge product of an ``r2``-regular
-second factor; ``T = (I + R2^T Q^-1 R2) / c``.  Only ``W``, ``Q^-1`` and
-``S#`` are stored; the product-size matrix is built only when
-``OneInverse.matrix`` is read.  The product Laplacian is never inverted
-here; that brute-force route lives in the metrics module and serves as
-the independent oracle.
+second factor; ``T = (I + R2^T Q^-1 R2) / c``.  Only ``W``, which holds
+``c Q^-1`` in its copy block, and ``S#`` are stored; the product-size matrix
+is built only when ``OneInverse.matrix`` is read.  The product Laplacian is
+never inverted here; that brute-force route lives in the metrics module and
+serves as the independent oracle.
 """
 from __future__ import annotations
 
@@ -55,8 +55,6 @@ class OneInverse:
     ----------
     layout : CoronaLayout
         The product this inverse belongs to; ``layout.kind`` is its kind.
-    small_inverse : ndarray
-        Inverse of the shifted second-factor Laplacian, n2 x n2.
     s_sharp : ndarray
         Group inverse of the first factor's Laplacian, n1 x n1.
     gadget : ndarray
@@ -64,7 +62,6 @@ class OneInverse:
     """
 
     layout: CoronaLayout
-    small_inverse: np.ndarray
     s_sharp: np.ndarray
     gadget: np.ndarray
 
@@ -103,10 +100,10 @@ def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
     n2, m2 = layout.n2, layout.m2
     r2mat = incidence_matrix(g2)
     shift, coeff = (2.0, 2.0) if kind == VERTEX_KIND else (float(r2), 3.0)
-    small_inverse = _shifted_inverse(g2, shift)
-    small_inverse = 0.5 * (small_inverse + small_inverse.T)
-    t_small = (np.eye(m2) + r2mat.T @ small_inverse @ r2mat) / coeff
-    coupling = r2mat.T @ small_inverse
+    q_inv = _shifted_inverse(g2, shift)
+    q_inv = 0.5 * (q_inv + q_inv.T)
+    t_small = (np.eye(m2) + r2mat.T @ q_inv @ r2mat) / coeff
+    coupling = r2mat.T @ q_inv
 
     # every block is exactly symmetric, so X == X.T holds bit for bit
     w = np.zeros((m2 + n2 + 1,) * 2)
@@ -114,13 +111,8 @@ def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
     w[sub, sub] = 0.5 * (t_small + t_small.T)
     w[sub, cop] = coupling
     w[cop, sub] = coupling.T
-    w[cop, cop] = coeff * small_inverse
-    return OneInverse(
-        layout=layout,
-        small_inverse=small_inverse,
-        s_sharp=group_inverse_laplacian(laplacian(g1)),
-        gadget=w,
-    )
+    w[cop, cop] = coeff * q_inv
+    return OneInverse(layout=layout, s_sharp=group_inverse_laplacian(laplacian(g1)), gadget=w)
 
 
 def one_inverse_vertex_corona(g1: Graph, g2: Graph) -> OneInverse:

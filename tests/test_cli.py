@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +453,17 @@ class TestSubprocess:
             )
             assert proc.returncode == 0, proc.stderr
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("text", ["nan", "0"])
+    def test_verify_corpus_script_rejects_a_bad_tolerance(self, text):
+        # parsed as coronakit verify parses it: a usage error, not a run of failed rows
+        script = Path(__file__).resolve().parents[1] / "scripts" / "verify_corpus.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--tolerance", text], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert "tolerance must be a positive finite number" in proc.stderr
+        assert not proc.stdout
 
     def test_help_exits_zero(self):
         proc = subprocess.run(

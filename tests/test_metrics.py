@@ -45,6 +45,7 @@ from coronakit import (
     resistance_matrix_from_one_inverse,
     resistance_oracle,
     resistance_vertex_corona,
+    star_graph,
     vertex_copy_resistance_alt,
 )
 from coronakit import metrics
@@ -135,7 +136,7 @@ class TestClosedFormDispatch:
     def test_same_copy_uses_shifted_inverse_only(self):
         g1, g2 = complete_graph(1), complete_graph(3)
         oi = one_inverse_vertex_corona(g1, g2)
-        q = oi.small_inverse
+        q = oi.gadget[3:6, 3:6] / 2.0  # W's copy block is 2 Q^-1
         want = 2.0 * (q[0, 0] + q[1, 1] - 2.0 * q[0, 1])
         got = resistance_vertex_corona(g1, g2, (COPY, 0, 0), (COPY, 1, 0), one_inv=oi)
         assert got == pytest.approx(want, abs=1e-14)
@@ -517,6 +518,14 @@ class TestKirchhoffClosedForms:
             for kf in (kf_vertex_corona, kf_vertex_corona_regular, kf_edge_corona_regular):
                 with pytest.raises(PreconditionError, match="first factor must be connected"):
                     kf(g1, cycle_graph(3))
+
+    @pytest.mark.parametrize("kf", [kf_vertex_corona_regular, kf_edge_corona_regular])
+    def test_irregular_second_factor_leaves_the_memo_empty(self, kf):
+        # a call that raises caches nothing: Kf(G1) is reached only after
+        # every precondition has passed
+        with pytest.raises(PreconditionError, match="regular second factor"):
+            kf(path_graph(300), star_graph(3))
+        assert metrics._first_factor_kirchhoff.cache_info().currsize == 0
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

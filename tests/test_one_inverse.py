@@ -67,7 +67,7 @@ def test_block_shapes():
     oi = one_inverse_vertex_corona(g1, g2)
     n1, n2, m2 = 3, 4, 4
     b = m2 + n2 + 1
-    assert oi.small_inverse.shape == (n2, n2)
+    assert (oi.gadget[m2 : m2 + n2, m2 : m2 + n2] / 2.0).shape == (n2, n2)
     assert oi.s_sharp.shape == (n1, n1)
     assert oi.gadget.shape == (b, b)
     # the base row and column of the gadget are zero
@@ -113,10 +113,12 @@ def test_shifted_inverse_ones_vector_identities():
     for b in CORPUS_G2:
         g2 = named_graph(b)
         oi = one_inverse_vertex_corona(complete_graph(2), g2)
-        ones = np.ones(g2.vertex_count)
-        assert np.allclose(2.0 * oi.small_inverse @ ones, ones, atol=1e-12)
+        m2, n2 = g2.edge_count, g2.vertex_count
+        q_inv = oi.gadget[m2 : m2 + n2, m2 : m2 + n2] / 2.0  # W's copy block is 2 Q^-1
+        ones = np.ones(n2)
+        assert np.allclose(2.0 * q_inv @ ones, ones, atol=1e-12)
         r2 = incidence_matrix(g2)
-        lifted = r2.T @ oi.small_inverse @ ones
+        lifted = r2.T @ q_inv @ ones
         assert np.allclose(lifted, np.ones(g2.edge_count), atol=1e-12)
 
 

@@ -222,6 +222,19 @@ class TestScaledBounds:
         assert row.status == "pass"
         assert row.tolerance == pytest.approx(1e-10 * 399.0, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_resistance_bounds_scale_with_the_largest_resistance(self, kind):
+        # as for resistance --method both: on P220-C4 the deviations reach
+        # 2.4e-9 (vertex) and 6.0e-9 (edge), above an absolute 1e-9
+        report = run_verification(pairs=[("P6", "C4")], include_instances=False)
+        rows = {c.case_id: c for c in report.cases}
+        largest = resistance_oracle(corona(path_graph(6), cycle_graph(4), kind).product).max()
+        assert largest > 1.0
+        for family in ("resistance-closed-form", "resistance-one-inverse"):
+            row = rows[f"{family}/{kind}/P6-C4"]
+            assert row.status == "pass"
+            assert row.tolerance == pytest.approx(1e-9 * largest, rel=1e-12)
+
     def test_group_inverse_bound_scales_with_the_entries(self):
         # on P1500 the residuals reach 1.66e-8, above an absolute 1e-8; the
         # largest entry of X is (n - 1)(2n - 1) / 6n
