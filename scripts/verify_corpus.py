@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the self-verification corpus and print a human-readable summary.
 
-Exit code mirrors the library verdict: 0 when every check passes, 1 otherwise.
+Exit code mirrors the library verdict: 0 when every check passes, 1 otherwise;
+2 for a usage error, such as a tolerance that is not a positive finite number.
 """
 from __future__ import annotations
 
