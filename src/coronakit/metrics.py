@@ -12,10 +12,15 @@ Two independent routes to every quantity:
       r = W_pp + W_qq - 2 W_pq [i = j] + S#_ii + S#_jj - 2 S#_ij,
 
   which serves single pairs and, broadcast, the whole matrix; plus closed
-  Kirchhoff-index expressions that never touch the product at all.  Their
-  one first-factor input, ``Kf(G1)``, comes from a selected inversion of
-  the Laplacian grounded at the last vertex, block by block, at a cost of
-  about ``n s^2`` for ``s = max(bandwidth, 64)``.
+  Kirchhoff-index expressions that never touch the product at all.  Every
+  factor piece they read comes from one selected-inversion kernel,
+  ``_selected_inverse``, which returns the diagonal of ``M = (diag(d) -
+  A)^-1``, ``M`` on the edges and one quadratic form ``f'Mf``, block by
+  block at a cost of about ``n s^2`` for ``s = max(bandwidth, 64)``:
+  ``Kf(G1)`` from the Laplacian grounded at one vertex (renumbered by
+  reverse Cuthill-McKee when the given numbering leaves one dense block),
+  and the second-factor sums from ``Q = L2 + shift I`` in its given
+  numbering.
 
 The oracle route is deliberately kept free of any shared code with the
 assembly, and shares no factorization with ``Kf(G1)``, so agreement between
@@ -45,7 +50,6 @@ from .linalg import (
     group_inverse_laplacian,
     group_inverse_trace_and_sum,
     inverse,
-    symmetric_eigenvalues,
 )
 from .one_inverse import OneInverse, _require_factors, _shifted_inverse, one_inverse_corona
 
@@ -247,41 +251,36 @@ def kirchhoff_pair_sum(g: Graph) -> KirchhoffResult:
 _MIN_BLOCK = 64
 
 
-def _grounded_kirchhoff(g: Graph) -> float:
-    """Kirchhoff index of a connected graph by selected inversion of its grounded Laplacian.
+def _selected_inverse(diag: np.ndarray, u: np.ndarray, v: np.ndarray, f: np.ndarray):
+    """Diagonal, edge entries and ``f'Mf`` of ``M = (diag(diag) - A)^-1``, block by block.
 
-    Ground the last vertex: ``A`` is the Laplacian without its last row and
-    column, positive definite exactly when ``g`` is connected, and with
-    ``M = A^-1`` zero-padded, ``Kf = n tr M - 1'M1``.  The ``N = n - 1``
-    grounded vertices are split evenly into ``max(1, N // s)`` blocks, where
-    ``s = max(k, 64)`` and ``k`` is the largest ``|u - v|`` over the edges
-    away from the ground, so every block is at least ``k`` wide and ``A`` is
-    block tridiagonal with diagonal blocks ``D_b`` and sub-diagonal blocks
-    ``B_b``.  A forward pass inverts the Schur complements
-    ``S_b = D_b - P_{b-1} B_{b-1}'``, ``P_b = B_b S_b^-1``, one Cholesky
-    factor at a time, and sums ``1'M1 = sum_b g_b' S_b^-1 g_b`` over the
-    eliminated all-ones vector ``g_b = 1 - P_{b-1} g_{b-1}``.  A backward
-    pass runs the Takahashi recurrence
+    ``A`` is the 0/1 adjacency matrix of the edges ``(u, v)``, given with
+    ``u < v`` and sorted by ``u``; ``diag(diag) - A`` must be positive
+    definite: a grounded Laplacian, or a Laplacian plus a positive shift.
+    Returns ``(M_ii for every i, M_uv for every edge, f'Mf)``, and
+    ``(empty, empty, 0.0)`` for an empty ``diag``.
+
+    The ``N`` vertices are split evenly into ``max(1, N // s)`` blocks, where
+    ``s = max(k, 64)`` and ``k`` is the largest ``v - u``, so every block is
+    at least ``k`` wide and the matrix is block tridiagonal with diagonal
+    blocks ``D_b`` and sub-diagonal blocks ``B_b``.  A forward pass inverts
+    the Schur complements ``S_b = D_b - P_{b-1} B_{b-1}'``,
+    ``P_b = B_b S_b^-1``, one Cholesky factor at a time, and sums
+    ``f'Mf = sum_b g_b' S_b^-1 g_b`` over the eliminated vector
+    ``g_b = f_b - P_{b-1} g_{b-1}``.  A backward pass runs the Takahashi
+    recurrence
 
         M_{b+1,b} = -M_{b+1} P_b,    M_b = S_b^-1 + P_b' M_{b+1} P_b,
 
-    which yields the entries of ``M`` on the pattern of ``A``, diagonal
-    included.  Cost is about ``n s^2`` flops and ``O(n s)`` memory; when
-    ``k >= N / 2`` there is one block, a dense Cholesky inverse.
-
-    Self-check (Foster's theorem): the edge resistances, ``M_uu + M_vv -
-    2 M_uv`` and ``M_uu`` for an edge at the ground, sum to ``n - 1``; a miss
-    by more than ``RESIDUAL_TOL * max(1, n - 1)`` raises ``CoronaKitError``.
-    A failed Cholesky factor, or a pivot at most ``ENTRY_TOL`` times the
-    block's largest, raises ``PreconditionError``.
+    which yields the entries of ``M`` on the pattern of the matrix, diagonal
+    included.  Cost is about ``N s^2`` flops and ``O(N s)`` memory; when
+    ``k >= N / 2`` there is one block, a dense Cholesky inverse.  A failed
+    Cholesky factor, or a pivot at most ``ENTRY_TOL`` times the block's
+    largest, raises ``PreconditionError``.
     """
-    n = g.vertex_count
-    size = n - 1
-    if size <= 0:
-        return 0.0
-    ends = g._ends
-    away = ends[:, 1] < size  # canonical ends have u < v; v == size is the ground
-    u, v = ends[away].T
+    size = len(diag)
+    if size == 0:
+        return np.zeros(0), np.zeros(0), 0.0
     width = max(int((v - u).max(initial=0)), _MIN_BLOCK)
     count = max(1, size // width)
     bounds = size * np.arange(count + 1) // count
@@ -289,12 +288,11 @@ def _grounded_kirchhoff(g: Graph) -> float:
     # are the run first[b]:first[b + 1]; each lies inside block b or reaches
     # into block b + 1, where it is an entry of B_b
     first = np.searchsorted(u, bounds)
-    degrees = g.degrees().astype(np.float64)
 
-    # forward: S_b^-1 and P_b block by block, with the 1'M1 sum
+    # forward: S_b^-1 and P_b block by block, with the f'Mf sum
     inverses, couplings, local = [], [], []
     total = 0.0
-    rhs = np.ones(bounds[1])  # g_0
+    rhs = f[: bounds[1]]  # g_0
     for b in range(count):
         lo, hi = bounds[b], bounds[b + 1]
         eu, ev = u[first[b] : first[b + 1]] - lo, v[first[b] : first[b + 1]] - lo
@@ -305,7 +303,7 @@ def _grounded_kirchhoff(g: Graph) -> float:
         s = np.zeros((hi - lo, hi - lo))
         s[iv, iu] = -1.0
         s[iu, iv] = -1.0
-        np.fill_diagonal(s, degrees[lo:hi])
+        np.fill_diagonal(s, diag[lo:hi])
         if b:
             s -= p @ coupling.T
         # S_b is symmetric, so its transpose is the column-major array LAPACK
@@ -320,7 +318,7 @@ def _grounded_kirchhoff(g: Graph) -> float:
             coupling[cv, cu] = -1.0
             p = coupling @ z
             couplings.append(p)
-            rhs = 1.0 - p @ rhs  # g_{b+1}
+            rhs = f[hi : bounds[b + 2]] - p @ rhs  # g_{b+1}
 
     # backward: the Takahashi recurrence, reading M on the edges as it goes
     diagonal = np.empty(size)
@@ -337,11 +335,74 @@ def _grounded_kirchhoff(g: Graph) -> float:
         run[inside] = m[iv, iu]
         diagonal[bounds[b] : bounds[b + 1]] = m.diagonal()
         m_next = m
+    return diagonal, on_edges, total
+
+
+def _hub_grounded_order(g: Graph, degrees: np.ndarray):
+    # ground the highest-degree vertex and number the others by reverse
+    # Cuthill-McKee; returns the edges away from the ground as u < v sorted by
+    # u, and the other vertices' degrees, in that numbering
+    import scipy.sparse
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    size = g.vertex_count - 1
+    hub = int(degrees.argmax())
+    ends = g._ends[(g._ends != hub).all(axis=1)]
+    ends = ends - (ends > hub)
+    # both directions of every edge, as CSR rows: row a holds b and row b holds a
+    rows, cols = ends.T.ravel(), ends[:, ::-1].T.ravel()
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    pattern = scipy.sparse.csr_array(
+        (np.ones(len(rows)), cols[np.argsort(rows, kind="stable")], indptr), shape=(size, size)
+    )
+    order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    ends = np.sort(rank[ends], axis=1)
+    u, v = ends[np.argsort(ends[:, 0], kind="stable")].T
+    return u, v, np.delete(degrees, hub)[order]
+
+
+def _grounded_kirchhoff(g: Graph) -> float:
+    """Kirchhoff index of a connected graph by selected inversion of its grounded Laplacian.
+
+    Ground one vertex: ``A`` is the Laplacian without its row and column,
+    positive definite exactly when ``g`` is connected, and with
+    ``M = A^-1`` zero-padded, ``Kf = n tr M - 1'M1``, both read off
+    ``_selected_inverse``.  The ground is the last vertex, in the given
+    numbering, unless that numbering leaves one dense block: when there are
+    at least ``2 * 64`` grounded vertices and some edge away from the last
+    vertex spans at least half of them, the highest-degree vertex is
+    grounded instead (a wheel's hub, leaving its rim a cycle) and the others
+    are renumbered by reverse Cuthill-McKee, which narrows the band of a
+    wheel's rim to 2 and of a circulant ``C_n(1, j)`` to about ``2j``.
+    Banded numberings keep their route, and their bits.  Cost is about ``n s^2`` flops and ``O(n s)``
+    memory for ``s = max(bandwidth, 64)``.
+
+    Self-check (Foster's theorem): the edge resistances, ``M_uu + M_vv -
+    2 M_uv`` and ``M_uu`` for an edge at the ground, sum to ``n - 1``; a miss
+    by more than ``RESIDUAL_TOL * max(1, n - 1)`` raises ``CoronaKitError``.
+    A failed Cholesky factor, or a pivot at most ``ENTRY_TOL`` times the
+    block's largest, raises ``PreconditionError``.
+    """
+    n = g.vertex_count
+    size = n - 1
+    if size <= 0:
+        return 0.0
+    degrees = g.degrees().astype(np.float64)
+    away = g._ends[:, 1] < size  # canonical ends have u < v; v == size is the ground
+    u, v = g._ends[away].T
+    if size >= 2 * _MIN_BLOCK and int((v - u).max(initial=0)) >= size // 2:
+        u, v, grounded = _hub_grounded_order(g, degrees)
+    else:
+        grounded = degrees[:size]
+    diagonal, on_edges, total = _selected_inverse(grounded, u, v, np.ones(size))
 
     # Foster: the edge resistances M_uu + M_vv - 2 M_uv, and M_uu for an edge
     # at the ground, sum to n - 1; gathered by vertex, the diagonal terms are
     # each vertex's degree times M_uu
-    foster = float(degrees[:size] @ diagonal - 2.0 * on_edges.sum())
+    foster = float(grounded @ diagonal - 2.0 * on_edges.sum())
     if abs(foster - size) > RESIDUAL_TOL * size:
         raise CoronaKitError(f"grounded inverse self-check failed: Foster sum {foster} vs {size}")
     return float(n * diagonal.sum() - total)
@@ -369,18 +430,26 @@ def _kirchhoff_bracket(g1: Graph, g2: Graph, c: float, t: float, s: float) -> fl
     return n1 * (1 + n2 + m2) * bracket
 
 
+def _shifted_pieces(g2: Graph, shift: float) -> tuple[float, float, float, float]:
+    # (S, tr(Q^-1 A2), tr(Q^-1 D2), d'Q^-1 d) for Q = L2 + shift I and the
+    # degree vector d, from one selected inversion in G2's own numbering:
+    # A2 is symmetric and D2 diagonal, so the traces need only M's diagonal
+    # and its entries on the edges; S = tr Q^-1 = sum 1/(mu_i + shift) over
+    # the spectrum of L2
+    degrees = g2.degrees().astype(np.float64)
+    u, v = g2._ends.T
+    diagonal, on_edges, quadratic = _selected_inverse(degrees + shift, u, v, degrees)
+    return float(diagonal.sum()), 2.0 * float(on_edges.sum()), float(diagonal @ degrees), quadratic
+
+
 def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the vertex product, any second factor."""
     _require_factors(g1, g2, VERTEX_KIND)
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    degrees = g2.degrees().astype(np.float64)
-    q_inv = _shifted_inverse(g2, 2.0)
-    # tr(Q^-1 A2) + tr(Q^-1 D2) without the n2^3 products: A2 is symmetric, D2 diagonal
-    trace_terms = float(np.sum(q_inv * adjacency_matrix(g2)) + q_inv.diagonal() @ degrees)
-    # S = tr Q^-1, the sum of 1/(mu_i + 2) over the spectrum of L2
+    shifted_sum, adjacency_trace, degree_trace, quadratic = _shifted_pieces(g2, 2.0)
     value = (
-        _kirchhoff_bracket(g1, g2, 2.0, trace_terms, float(np.trace(q_inv)))
-        - (n1 / 2.0) * float(degrees @ q_inv @ degrees)
+        _kirchhoff_bracket(g1, g2, 2.0, adjacency_trace + degree_trace, shifted_sum)
+        - (n1 / 2.0) * quadratic
         - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
     )
     return KirchhoffResult(value=value, method="theorem-4.1")
@@ -396,9 +465,9 @@ def kf_vertex_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     if r2 is None:
         raise PreconditionError("this formula needs a regular second factor")
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    mu = symmetric_eigenvalues(laplacian(g2))
-    shifted_sum = float(np.sum(1.0 / (mu + 2.0)))
-    trace_terms = 2.0 * r2 * shifted_sum - float(np.sum(mu / (mu + 2.0)))
+    shifted_sum = _shifted_pieces(g2, 2.0)[0]
+    # sum mu/(mu + 2) = sum (1 - 2/(mu + 2)) = n2 - 2S
+    trace_terms = 2.0 * r2 * shifted_sum - (n2 - 2.0 * shifted_sum)
     value = (
         _kirchhoff_bracket(g1, g2, 2.0, trace_terms, shifted_sum)
         - n1 * n2 * r2 * r2 / 4.0
@@ -415,9 +484,8 @@ def kf_edge_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     """
     r2 = _require_factors(g1, g2, EDGE_KIND)
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    c_inv = _shifted_inverse(g2, float(r2))
-    shifted_sum = float(np.trace(c_inv))  # sum 1/(mu_i + r2) over the spectrum of L2
-    trace_terms = float(np.sum(c_inv * adjacency_matrix(g2))) + r2 * shifted_sum
+    shifted_sum, adjacency_trace = _shifted_pieces(g2, float(r2))[:2]
+    trace_terms = adjacency_trace + r2 * shifted_sum
     value = _kirchhoff_bracket(g1, g2, 3.0, trace_terms, shifted_sum) - (
         n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2
     ) / (3.0 * r2)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -318,6 +320,45 @@ def _grid(a: int, b: int) -> Graph:
     return Graph(a * b, edges)
 
 
+def _circulant(n: int, jumps) -> Graph:
+    return Graph(n, {(min(i, (i + k) % n), max(i, (i + k) % n)) for i in range(n) for k in jumps})
+
+
+def _wheel(n: int) -> Graph:
+    # hub 0 and the rim 1..n-1 as a cycle
+    return Graph(n, [(0, i) for i in range(1, n)] + [(i, i % (n - 1) + 1) for i in range(1, n)])
+
+
+def _sparse_at_reach(n: int, k: int, seed: int) -> Graph:
+    # a random spanning tree plus n random chords, none reaching more than k
+    # apart, and the chord (0, k); the last vertex gets a few extra edges
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(max(0, v - k), v)), v) for v in range(1, n)} | {(0, k)}
+    for a in rng.integers(0, n - 1, n).tolist():
+        b = min(n - 2, a + int(rng.integers(1, k + 1)))
+        if a != b:
+            edges.add((a, b))
+    edges.update((int(a), n - 1) for a in rng.integers(0, n - 1, 5))
+    return Graph(n, sorted(edges))
+
+
+def _hub_at_reach(n: int, k: int) -> Graph:
+    # a path through every vertex plus a hub at k joined to all of 0..2k that
+    # lie away from the last vertex: the largest degree, and reach exactly k
+    spokes = [(min(k, j), max(k, j)) for j in range(min(2 * k + 1, n - 1)) if j != k]
+    return Graph(n, {(i, i + 1) for i in range(n - 1)} | set(spokes))
+
+
+@st.composite
+def _shifted_factors(draw, max_vertices=300):
+    """A graph of up to 300 vertices whose edges reach at most k apart, and a positive shift."""
+    n = draw(st.integers(0, max_vertices))
+    k = draw(st.integers(1, max(1, n - 1)))
+    steps = st.tuples(st.integers(0, max(0, n - 1)), st.integers(1, k))
+    edges = {(i, i + d) for i, d in draw(st.lists(steps, max_size=3 * n)) if i + d < n}
+    return Graph(n, sorted(edges)), draw(st.sampled_from([0.25, 1.0, 2.0, 3.0]))
+
+
 class TestGroundedKirchhoff:
     """Kf(G1) by selected inversion of the Laplacian grounded at the last vertex."""
 
@@ -382,6 +423,59 @@ class TestGroundedKirchhoff:
         want = kirchhoff_oracle(g).value
         assert abs(metrics._grounded_kirchhoff(g) - want) <= 1e-12 * max(1.0, want)
 
+    def test_banded_numbering_keeps_its_bits(self):
+        # the parent's value of Kf(P1500): banded graphs keep the last-vertex ground
+        assert metrics._grounded_kirchhoff(path_graph(1500)) == 562499750.0
+
+    @pytest.mark.parametrize(
+        "g,want",
+        [
+            # C_n(1, j): Laplacian eigenvalues 4 - 2 cos(2 pi t / n) - 2 cos(2 pi j t / n)
+            (
+                _circulant(3000, (1, 55)),
+                lambda n: n * np.sum(1.0 / (4.0 - 2.0 * np.cos(2 * np.pi * np.arange(1, n) / n)
+                                            - 2.0 * np.cos(2 * np.pi * 55 * np.arange(1, n) / n))),
+            ),
+            # W_n: eigenvalue n once and 3 - 2 cos(2 pi t / N) on the rim C_N, N = n - 1
+            (
+                _wheel(3000),
+                lambda n: 1.0 + n * np.sum(1.0 / (3.0 - 2.0 * np.cos(2 * np.pi * np.arange(1, n - 1) / (n - 1)))),
+            ),
+        ],
+        ids=["circulant-1-55", "wheel"],
+    )
+    def test_reordered_factor_is_exact_in_small_memory(self, g, want):
+        # the given numbering spans the whole graph; a dense inverse would take 72 MB
+        tracemalloc.start()
+        try:
+            value = metrics._grounded_kirchhoff(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(want(g.vertex_count), rel=1e-11)
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("size", [127, 128, 129])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("family", ["sparse", "hub"])
+    def test_matches_the_oracle_at_the_reordering_switch(self, monkeypatch, family, size, delta):
+        # reordered exactly when there are at least 128 grounded vertices and
+        # an edge away from the last vertex reaches size // 2 or further
+        k = size // 2 + delta
+        g = _sparse_at_reach(size + 1, k, seed=size + delta) if family == "sparse" else _hub_at_reach(size + 1, k)
+        calls = []
+        reorder = metrics._hub_grounded_order
+        monkeypatch.setattr(metrics, "_hub_grounded_order", lambda *a: calls.append(a) or reorder(*a))
+        want = kirchhoff_oracle(g).value
+        assert abs(metrics._grounded_kirchhoff(g) - want) <= 1e-12 * want
+        assert len(calls) == (size >= 128 and delta >= 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sparse_graphs_match_the_oracle(self, seed):
+        g = _sparse_at_reach(400, 399, seed)
+        want = kirchhoff_oracle(g).value
+        assert abs(metrics._grounded_kirchhoff(g) - want) <= 1e-12 * want
+
     @pytest.mark.parametrize(
         "g",
         [
@@ -389,8 +483,12 @@ class TestGroundedKirchhoff:
             Graph(3, ((1, 2),)),
             # two paths, the one away from the ground in the first blocks
             Graph(400, [(i, i + 1) for i in range(399) if i != 150]),
+            # reordered: a cycle whose wrap edge spans half the graph, and a
+            # wheel whose hub is the ground, each beside a separate path
+            Graph(300, [(i, i + 1) for i in range(299) if i != 149] + [(0, 149)]),
+            Graph(300, list(_wheel(200).edges) + [(i, i + 1) for i in range(200, 299)]),
         ],
-        ids=["ground-isolated", "vertex-isolated", "two-paths"],
+        ids=["ground-isolated", "vertex-isolated", "two-paths", "reordered-cycle-and-path", "reordered-wheel-and-path"],
     )
     def test_disconnected_graph_is_a_precondition_error(self, g):
         with pytest.raises(PreconditionError, match=r"graph is disconnected \(algebraic connectivity is zero\)"):
@@ -399,9 +497,40 @@ class TestGroundedKirchhoff:
     def test_foster_self_check_catches_a_wrong_inverse(self, monkeypatch):
         inverse = metrics._cholesky_inverse
         monkeypatch.setattr(metrics, "_cholesky_inverse", lambda a: (1.0 + 1e-6) * inverse(a))
-        for g in (path_graph(5), path_graph(400)):
+        for g in (path_graph(5), path_graph(400), _wheel(300)):
             with pytest.raises(CoronaKitError, match="Foster"):
                 metrics._grounded_kirchhoff(g)
+
+
+class TestSelectedInverse:
+    """The second-factor pieces of ``Q^-1``, ``Q = L2 + shift I``, against a dense inverse."""
+
+    @staticmethod
+    def _check(g: Graph, shift: float):
+        n = g.vertex_count
+        degrees = g.degrees().astype(np.float64)
+        u, v = g._ends.T
+        diagonal, on_edges, quadratic = metrics._selected_inverse(degrees + shift, u, v, degrees)
+        q_inv = np.linalg.inv(laplacian(g) + shift * np.eye(n)) if n else np.zeros((0, 0))
+        scale = float(np.abs(q_inv).max(initial=1.0))
+        assert diagonal.shape == (n,) and on_edges.shape == (g.edge_count,)
+        assert np.abs(diagonal - np.diag(q_inv)).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(on_edges - q_inv[u, v]).max(initial=0.0) <= 1e-12 * scale
+        assert quadratic == pytest.approx(float(degrees @ q_inv @ degrees), rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=40)
+    @given(_shifted_factors())
+    def test_matches_the_dense_inverse(self, case):
+        self._check(*case)
+
+    @pytest.mark.parametrize(
+        "g",
+        [star_graph(40), _wheel(60), _wheel(300), Graph(5), complete_graph(1), Graph(0), cycle_graph(200)],
+        ids=["star", "wheel", "wheel-300", "edgeless", "K1", "K0", "C200"],
+    )
+    @pytest.mark.parametrize("shift", [2.0, 3.0])
+    def test_named_graphs_match_the_dense_inverse(self, g, shift):
+        self._check(g, shift)
 
 
 class TestKirchhoffClosedForms:
@@ -453,10 +582,20 @@ class TestKirchhoffClosedForms:
         want = kirchhoff_oracle(corona_vertex(g1, g2).product).value
         assert kf_vertex_corona(g1, g2).value == pytest.approx(want, abs=1e-8)
 
-    @pytest.mark.parametrize("a,b", [("P7", "C5"), ("S4", "K4")])
-    def test_trace_sums_match_matmul_form(self, a, b):
-        # the theorems as first written, with tr(M A2) and tr(M D2) as n2^3 products
-        g1, g2 = named_graph(a), named_graph(b)
+    @pytest.mark.parametrize(
+        "g1,g2",
+        [
+            (named_graph("P7"), named_graph("C5")),
+            (named_graph("S4"), named_graph("K4")),
+            # second factors of 128 or more vertices, where Q^-1 was an LU inverse
+            (named_graph("P7"), cycle_graph(200)),
+            (named_graph("S4"), _circulant(200, (1, 2))),
+        ],
+        ids=["P7-C5", "S4-K4", "P7-C200", "S4-C200(1,2)"],
+    )
+    def test_trace_sums_match_matmul_form(self, g1, g2):
+        # the theorems as first written, with tr(M A2) and tr(M D2) as n2^3
+        # products and the shifted sums over the spectrum of L2
         n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
         total, kf1 = n1 * (1 + n2 + m2), kirchhoff_oracle(g1).value
         a2, d2 = adjacency_matrix(g2), degree_matrix(g2)
@@ -479,7 +618,19 @@ class TestKirchhoffClosedForms:
         # the shifted sums are now the traces of the inverses already held
         assert np.trace(q_inv) == pytest.approx(np.sum(1.0 / (mu + 2.0)), rel=1e-13)
 
+        # Cor 4.2 reads sum mu/(mu + 2) as n2 - 2S, with no eigenvalues
         r2 = is_regular(g2)
+        shifted_sum = metrics._shifted_pieces(g2, 2.0)[0]
+        assert n2 - 2.0 * shifted_sum == pytest.approx(np.sum(mu / (mu + 2.0)), rel=1e-13)
+        bracket = (
+            n1 * m2 / 2.0
+            + (n1 / 2.0) * (2.0 * r2 * np.sum(1.0 / (mu + 2.0)) - np.sum(mu / (mu + 2.0)))
+            + 2.0 * n1 * np.sum(1.0 / (mu + 2.0))
+            + ((m2 + n2 + 1) / n1) * kf1
+        )
+        corollary = total * bracket - n1 * n2 * r2 * r2 / 4.0 - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
+        assert kf_vertex_corona_regular(g1, g2).value == pytest.approx(corollary, rel=1e-12)
+
         c_inv = np.linalg.inv(laplacian(g2) + r2 * np.eye(n2))
         shifted_sum = np.sum(1.0 / (mu + r2))
         bracket = (
@@ -577,3 +728,28 @@ class TestProperties:
             from_assembly = resistance_matrix_from_one_inverse(oe.matrix)
             oracle = resistance_oracle(oe.layout.product)
             assert np.abs(from_assembly - oracle).max() <= 1e-9
+
+
+def test_scipy_sparse_loads_only_to_reorder(tmp_path):
+    # reordering is the one user of scipy.sparse; processes that never reorder
+    # (verify, resistance, closed forms on small first factors) must not pay
+    # for loading it
+    (tmp_path / "g1.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
+    (tmp_path / "g2.txt").write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    script = f"""
+import sys
+from coronakit import Graph, cli, cycle_graph, metrics, path_graph
+from coronakit.verify import run_verification
+
+run_verification(pairs=[("P4", "C5")])
+assert cli.main(["resistance", "--kind", "vertex", "--g1", {str(tmp_path / "g1.txt")!r},
+                 "--g2", {str(tmp_path / "g2.txt")!r}, "--method", "both",
+                 "--out", {str(tmp_path / "r.json")!r}]) == 0
+for kf in (metrics.kf_vertex_corona, metrics.kf_vertex_corona_regular, metrics.kf_edge_corona_regular):
+    kf(path_graph(30), cycle_graph(4))
+assert "scipy.sparse" not in sys.modules, "loaded without a reordering"
+metrics._grounded_kirchhoff(Graph(300, [(0, i) for i in range(1, 300)]))
+assert "scipy.sparse" in sys.modules, "a reordering did not load it"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
