@@ -349,13 +349,9 @@ def _hub_grounded_order(g: Graph, degrees: np.ndarray):
     hub = int(degrees.argmax())
     ends = g._ends[(g._ends != hub).all(axis=1)]
     ends = ends - (ends > hub)
-    # both directions of every edge, as CSR rows: row a holds b and row b holds a
+    # both directions of every edge: row a holds b and row b holds a
     rows, cols = ends.T.ravel(), ends[:, ::-1].T.ravel()
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    pattern = scipy.sparse.csr_array(
-        (np.ones(len(rows)), cols[np.argsort(rows, kind="stable")], indptr), shape=(size, size)
-    )
+    pattern = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(size, size))
     order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
     rank = np.empty(size, dtype=np.int64)
     rank[order] = np.arange(size)
