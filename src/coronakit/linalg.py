@@ -10,8 +10,6 @@ mutate their inputs.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 
@@ -35,10 +33,18 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _require_finite(m: np.ndarray, what: str) -> None:
+    # NaN compares False with every bound, so each check after this one
+    # would let a non-finite entry through
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must not contain infs or NaNs")
+
+
 def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
+    _require_finite(m, what)
     if m.size and float(np.abs(m - m.T).max()) > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric to within {SYMMETRY_TOL}")
     return m
@@ -49,23 +55,24 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _lu_with_pivot_check(a: np.ndarray, what: str):
-    # partial-pivoted LU; a pivot below ENTRY_TOL scale means singular
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    diag = np.abs(np.diag(lu))
-    bound = ENTRY_TOL * max(1.0, float(diag.max(initial=0.0)))
-    if diag.size and float(diag.min()) <= bound:
-        raise SingularMatrixError(f"{what} is singular to working tolerance")
-    return lu, piv
+def _lift(out: np.ndarray, a: np.ndarray) -> None:
+    # add kron(a, I_n) to the C-contiguous (p n x q n) array out in place, for
+    # a of shape (p, q): on the (p, n, q, n) view, kron(a, I_n) is a at every
+    # [:, k, :, k] and zero elsewhere, so one fancy-index add writes it with
+    # the bits of a, where np.kron would build it and its zeros first
+    (p, q), n = a.shape, out.shape[0] // a.shape[0]
+    k = np.arange(n)
+    out.reshape(p, n, q, n)[:, k, :, k] += a
 
 
 def inverse(a) -> np.ndarray:
-    """Inverse of a nonsingular square matrix.
+    """Inverse of a nonsingular square matrix, from one LAPACK LU factorization.
 
-    Raises ``SingularMatrixError`` when a pivot falls below ``ENTRY_TOL``
-    times the largest pivot during elimination.
+    Calls ``dgetrf`` and ``dgetrs`` directly, the routines that
+    ``scipy.linalg.lu_factor`` and ``lu_solve`` wrap.  Raises
+    ``SingularMatrixError`` when a pivot falls below ``ENTRY_TOL`` times the
+    largest pivot during elimination, and ``ValueError`` for a non-square or
+    non-finite matrix.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -73,8 +80,16 @@ def inverse(a) -> np.ndarray:
     n = m.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    lu, piv = _lu_with_pivot_check(m, "matrix")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n))
+    _require_finite(m, "matrix")
+    # both info codes are left unread: a negative one flags an illegal
+    # argument, which a square float64 matrix cannot give, and dgetrf's
+    # positive one, an exact zero pivot, fails the pivot test below
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
+    diag = np.abs(np.diag(lu))
+    if float(diag.min()) <= ENTRY_TOL * max(1.0, float(diag.max())):
+        raise SingularMatrixError("matrix is singular to working tolerance")
+    # a column-major identity, which LAPACK overwrites with the inverse
+    return scipy.linalg.lapack.dgetrs(lu, piv, np.eye(n, order="F"), overwrite_b=True)[0]
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:
@@ -127,7 +142,8 @@ def group_inverse_laplacian(lap) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the matrix is not symmetric with zero row sums.
+        If the matrix is not symmetric with zero row sums, or has an
+        infinite or NaN entry.
     PreconditionError
         If the graph is disconnected (or the matrix is not positive
         semidefinite), detected as a Cholesky factorization of ``L + J/n``

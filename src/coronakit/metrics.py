@@ -251,6 +251,25 @@ def kirchhoff_pair_sum(g: Graph) -> KirchhoffResult:
 _MIN_BLOCK = 64
 
 
+def _block(diag: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # the lower triangle of diag(diag) - A for the edges u < v of one block:
+    # _block_inverse reads nothing above the diagonal
+    s = np.zeros((len(diag), len(diag)))
+    s[v, u] = -1.0
+    np.fill_diagonal(s, diag)
+    return s
+
+
+def _block_inverse(s: np.ndarray) -> np.ndarray:
+    # the transpose of S is the column-major array LAPACK inverts in place,
+    # reading only its upper triangle, the lower triangle of S; read back,
+    # the inverse is the lower triangle
+    z = _cholesky_inverse(s.T).T
+    z += z.T  # the triangle plus its mirror, diagonal doubled exactly
+    z.reshape(-1)[:: len(z) + 1] *= 0.5
+    return z
+
+
 def _selected_inverse(diag: np.ndarray, u: np.ndarray, v: np.ndarray, f: np.ndarray):
     """Diagonal, edge entries and ``f'Mf`` of ``M = (diag(diag) - A)^-1``, block by block.
 
@@ -283,6 +302,10 @@ def _selected_inverse(diag: np.ndarray, u: np.ndarray, v: np.ndarray, f: np.ndar
         return np.zeros(0), np.zeros(0), 0.0
     width = max(int((v - u).max(initial=0)), _MIN_BLOCK)
     count = max(1, size // width)
+    if count == 1:
+        # one block, M = S_0^-1: the same arithmetic without the block indices
+        m = _block_inverse(_block(diag, u, v))
+        return m.diagonal().copy(), m[v, u], float(f @ m @ f)
     bounds = size * np.arange(count + 1) // count
     # the edges are sorted by their smaller end, so those starting in block b
     # are the run first[b]:first[b + 1]; each lies inside block b or reaches
@@ -300,17 +323,10 @@ def _selected_inverse(diag: np.ndarray, u: np.ndarray, v: np.ndarray, f: np.ndar
         iu, iv = eu[inside], ev[inside]
         cu, cv = eu[~inside], ev[~inside] - (hi - lo)  # row indices local to block b + 1
         local.append((inside, iu, iv, cu, cv))
-        s = np.zeros((hi - lo, hi - lo))
-        s[iv, iu] = -1.0
-        s[iu, iv] = -1.0
-        np.fill_diagonal(s, diag[lo:hi])
+        s = _block(diag[lo:hi], iu, iv)
         if b:
             s -= p @ coupling.T
-        # S_b is symmetric, so its transpose is the column-major array LAPACK
-        # inverts in place; read back, the inverse is the lower triangle
-        z = _cholesky_inverse(s.T).T
-        z += z.T  # the triangle plus its mirror, diagonal doubled exactly
-        z.reshape(-1)[:: len(z) + 1] *= 0.5
+        z = _block_inverse(s)
         total += float(rhs @ z @ rhs)
         inverses.append(z)
         if b < count - 1:
@@ -387,8 +403,9 @@ def _grounded_kirchhoff(g: Graph) -> float:
     if size <= 0:
         return 0.0
     degrees = g.degrees().astype(np.float64)
-    away = g._ends[:, 1] < size  # canonical ends have u < v; v == size is the ground
-    u, v = g._ends[away].T
+    u, v = g._ends.T
+    away = v < size  # canonical ends have u < v; v == size is the ground
+    u, v = u[away], v[away]
     if size >= 2 * _MIN_BLOCK and int((v - u).max(initial=0)) >= size // 2:
         u, v, grounded = _hub_grounded_order(g, degrees)
     else:

@@ -21,8 +21,14 @@ shifted Laplacian: ``L2 + 2I`` with ``c = 2`` for the vertex product, or
 ``L2 + r2 I`` with ``c = 3`` for the edge product of an ``r2``-regular
 second factor; ``T = (I + R2^T Q^-1 R2) / c``.  Only ``W``, which holds
 ``c Q^-1`` in its copy block, and ``S#`` are stored; the product-size matrix
-is built only when ``OneInverse.matrix`` is read.  The product Laplacian is
-never inverted here; that brute-force route lives in the metrics module and
+is built only when ``OneInverse.matrix`` is read.
+
+Both product-size matrices built here, ``OneInverse.matrix`` and
+``laplacian_of_product``, are written by a strided lift: on the
+``(b, n1, b, n1)`` view of a product-size buffer, ``A (x) I_{n1}`` is ``A``
+at every ``[:, k, :, k]``, so one fancy-index add writes it in place,
+without ``np.kron``'s temporaries.  The product Laplacian is never
+inverted here; that brute-force route lives in the metrics module and
 serves as the independent oracle.
 """
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .graphs import (
     is_regular,
     laplacian,
 )
-from .linalg import group_inverse_laplacian, inverse, kron
+from .linalg import _lift, group_inverse_laplacian, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +73,16 @@ class OneInverse:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The full product-size matrix ``W (x) I + J (x) S#``, built on every read."""
-        b = self.gadget.shape[0]
-        return kron(self.gadget, np.eye(self.layout.n1)) + kron(np.ones((b, b)), self.s_sharp)
+        """The full product-size matrix ``W (x) I + J (x) S#``, built on every read.
+
+        ``S#`` is broadcast into every block of one buffer and ``W`` is
+        lifted onto it in place, with the bits of ``np.kron``'s sum.
+        """
+        b, n1 = self.gadget.shape[0], self.layout.n1
+        x = np.empty((b * n1, b * n1))
+        x.reshape(b, n1, b, n1)[...] = self.s_sharp[:, None, :]
+        _lift(x, self.gadget)
+        return x
 
 
 def _require_factors(g1: Graph, g2: Graph, kind: str) -> int:
@@ -136,30 +149,39 @@ def one_inverse_edge_corona(g1: Graph, g2: Graph) -> OneInverse:
 def laplacian_of_product(layout: CoronaLayout) -> np.ndarray:
     """Product Laplacian assembled block-wise from the factor matrices.
 
-    Equals ``laplacian(layout.product)`` entrywise; the equality is the
-    check that the three-block numbering matches the Kronecker structure.
-    """
-    g1, g2 = layout.g1, layout.g2
-    n1, n2, m2 = layout.n1, layout.n2, layout.m2
-    eye1 = np.eye(n1)
-    d2 = degree_matrix(g2)
-    r2mat = incidence_matrix(g2)
-    l1 = laplacian(g1)
+    The b x b gadget Laplacian is written in the three-block form, with
+    ``R2`` the incidence and ``D2`` the degree matrix of the second factor:
 
-    sub, cop, bas = layout.block_slices()
-    lap = np.zeros((layout.n, layout.n))
-    lap[sub, cop] = kron(-r2mat.T, eye1)
-    lap[cop, sub] = kron(-r2mat, eye1)
+        vertex kind  [[ 2I,    -R2^T,   0  ],    edge kind  [[ 3I,    -R2^T,  -1 ],
+                      [ -R2,   D2 + I,  -1 ],                [ -R2,   D2,      0 ],
+                      [ 0,     -1',     n2 ]]                [ -1',   0,      m2 ]]
+
+    It is lifted once to ``L_B (x) I_n1`` and ``L(G1)`` is added on the
+    base block.  Equals ``laplacian(layout.product)`` entrywise; the
+    equality is the check that the three-block numbering matches the
+    Kronecker structure.  Entries off the pattern are ``+0.0``, as in
+    ``laplacian``.
+    """
+    n1, n2, m2 = layout.n1, layout.n2, layout.m2
+    b = m2 + n2 + 1
+    r2mat = incidence_matrix(layout.g2)
+    sub, cop, bas = slice(0, m2), slice(m2, m2 + n2), m2 + n2
+    gadget = np.zeros((b, b))
+    gadget[sub, cop] = -r2mat.T
+    gadget[cop, sub] = -r2mat
     if layout.kind == VERTEX_KIND:
-        lap[sub, sub] = kron(2.0 * np.eye(m2), eye1)
-        lap[cop, cop] = kron(d2 + np.eye(n2), eye1)
-        lap[cop, bas] = kron(-np.ones((n2, 1)), eye1)
-        lap[bas, cop] = kron(-np.ones((1, n2)), eye1)
-        lap[bas, bas] = l1 + n2 * eye1
+        gadget[sub, sub] = 2.0 * np.eye(m2)
+        gadget[cop, cop] = degree_matrix(layout.g2) + np.eye(n2)
+        gadget[cop, bas] = -1.0
+        gadget[bas, cop] = -1.0
+        gadget[bas, bas] = n2
     else:
-        lap[sub, sub] = kron(3.0 * np.eye(m2), eye1)
-        lap[sub, bas] = kron(-np.ones((m2, 1)), eye1)
-        lap[bas, sub] = kron(-np.ones((1, m2)), eye1)
-        lap[cop, cop] = kron(d2, eye1)
-        lap[bas, bas] = l1 + m2 * eye1
+        gadget[sub, sub] = 3.0 * np.eye(m2)
+        gadget[sub, bas] = -1.0
+        gadget[bas, sub] = -1.0
+        gadget[cop, cop] = degree_matrix(layout.g2)
+        gadget[bas, bas] = m2
+    lap = np.zeros((layout.n, layout.n))
+    _lift(lap, gadget)
+    lap[bas * n1 :, bas * n1 :] += laplacian(layout.g1)
     return lap

@@ -7,18 +7,22 @@ informational rows that can never fail the run.
 
 Each expensive piece is computed once and every row is read off it.  Every
 factor and product gets one oracle group inverse ``X`` of its Laplacian: the
-group-inverse rows check its defining identities, and the oracle
-resistances and both oracle Kirchhoff routes (``n tr X`` and the pair sum)
-are read off that same ``X``.  Every product gets one ``OneInverse``, which
-both closed-form resistance rows share; its product-size matrix is built
-once, after the oracle ``X`` is dropped, and read by the assembly row and
-the ``resistance-one-inverse`` row.  The same-copy variant row reads one
-shifted inverse for all vertex pairs.
+group-inverse rows check its defining identities, and both oracle
+Kirchhoff routes (``n tr X`` and the pair sum) are read off that same
+``X``.  The pair-sum route builds the oracle resistance matrix, the one
+each product has: every resistance, local-identity, metric and same-copy
+row reads it.  Every product gets one ``OneInverse``, which both
+closed-form resistance rows share; its product-size matrix is built once,
+after the oracle ``X`` is dropped, and read by the assembly row and the
+``resistance-one-inverse`` row.  The same-copy variant row reads one
+shifted inverse for all vertex pairs.  Catalog graphs are built once per
+name and process.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,8 +85,13 @@ _PRODUCT_FAMILIES = (
 _REGULAR_FAMILIES = ("kirchhoff-regular", "kirchhoff-regular-consistency")
 
 
+@lru_cache(maxsize=128)
 def named_graph(name: str) -> Graph:
-    """Small-graph catalog: K<n> complete, P<n> path, C<n> cycle, S<n> star."""
+    """Small-graph catalog: K<n> complete, P<n> path, C<n> cycle, S<n> star.
+
+    Each name is built once and then served from a cache, which is safe
+    because a ``Graph`` is immutable; a bad name raises every time.
+    """
     m = _NAME_RE.match(name)
     if not m:
         raise ValueError(f"unknown graph name {name!r} (expected K<n>, P<n>, C<n> or S<n>)")
@@ -155,9 +164,10 @@ def _max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
-def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray) -> np.ndarray:
+def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray):
     # the one oracle inversion of a graph: its identity rows, then both Kirchhoff
-    # routes read off the same X; returned for the resistance oracle
+    # routes read off the same X; returns X and the oracle resistance matrix
+    # that the pair-sum route reads, for the product rows
     x = group_inverse_laplacian(lap)
     residual = max(
         _max_abs(lap @ x @ lap - lap),
@@ -169,7 +179,8 @@ def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray) -> np.nda
     col.check(f"group-inverse/{prefix}", residual, RESIDUAL_TOL * scale)
     col.check(f"group-inverse-nullvector/{prefix}", _max_abs(x.sum(axis=1)), 1e-10 * scale)
     kf_trace = float(lap.shape[0] * np.trace(x))
-    kf_sum = float(resistance_matrix_from_one_inverse(x).sum() / 2.0)
+    r_oracle = resistance_matrix_from_one_inverse(x)
+    kf_sum = float(r_oracle.sum() / 2.0)
     # the bound kirchhoff_oracle puts on the same two numbers
     col.check(
         f"kirchhoff-oracle-consistency/{prefix}",
@@ -178,7 +189,7 @@ def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray) -> np.nda
         kf_trace,
         kf_sum,
     )
-    return x
+    return x, r_oracle
 
 
 def _product_rows(col, pair, kind, g1, g2) -> None:
@@ -215,9 +226,8 @@ def _product_rows(col, pair, kind, g1, g2) -> None:
     # one {1}-inverse and one oracle group inverse serve every row below;
     # product-size arrays live only while read, which keeps the peak down
     oi = one_inverse_corona(g1, g2, kind)
-    x = _group_inverse_rows(col, f"{kind}/{pair}", lap)
+    x, r_oracle = _group_inverse_rows(col, f"{kind}/{pair}", lap)
     kf_oracle = float(layout.n * np.trace(x))
-    r_oracle = resistance_matrix_from_one_inverse(x)
     del x  # the oracle X goes before the assembled {1}-inverse is built
     # resistance and triangle-inequality rounding grow with the largest
     # resistance, as on long paths

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import re
 
 import numpy as np
@@ -27,6 +28,8 @@ from coronakit import (
     path_graph,
     symmetric_eigenvalues,
 )
+from coronakit import linalg
+
 
 def disjoint_union(*gs):
     edges, offset = [], 0
@@ -82,6 +85,41 @@ class TestKron:
         lhs = kron(a, np.eye(3)) @ kron(b, np.eye(3))
         rhs = kron(a @ b, np.eye(3))
         assert np.allclose(lhs, rhs, atol=1e-6)
+
+
+class TestLift:
+    @given(small_matrices(3), st.integers(1, 4))
+    def test_bits_of_kron_with_identity(self, a, n):
+        # kron writes -0.0 where a negative entry meets a zero of I; the lift
+        # adds onto +0.0, which is kron's bits plus +0.0
+        out = np.zeros((3 * n, 3 * n))
+        linalg._lift(out, a)
+        want = np.kron(a, np.eye(n)) + 0.0
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+    def test_adds_onto_what_is_there(self):
+        a = np.array([[1.0, -2.0]])
+        out = np.ones((2, 4))
+        linalg._lift(out, a)
+        assert np.array_equal(out, np.ones((2, 4)) + np.kron(a, np.eye(2)))
+
+
+class TestNonFinite:
+    """NaN compares False with every bound, so each input is rejected up front."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_laplacian_rejected(self, bad, entry):
+        lap = laplacian(path_graph(3))
+        lap[entry] = bad
+        for fn in (group_inverse_laplacian, group_inverse_trace_and_sum):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fn(lap)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_inverse_rejected(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            inverse([[2.0, 1.0], [1.0, bad]])
 
 
 class TestInverse:

@@ -533,6 +533,34 @@ class TestSelectedInverse:
         self._check(g, shift)
 
 
+class TestKernelBits:
+    """Pinned bits of one-block kernel calls, so a faster path keeps the arithmetic."""
+
+    @pytest.mark.parametrize(
+        "name,bits",
+        [
+            ("K2", "0x1.0000000000000p+0"),
+            ("P3", "0x1.0000000000000p+2"),
+            ("P30", "0x1.18f0000000000p+12"),
+            ("K60", "0x1.d7ffffffffffap+5"),
+        ],
+    )
+    def test_grounded_kirchhoff(self, name, bits):
+        assert metrics._grounded_kirchhoff(named_graph(name)).hex() == bits
+
+    @pytest.mark.parametrize(
+        "name,shift,bits",
+        [
+            ("C10", 2.0, ("0x1.71816dd4b88c8p+1", "0x1.8c0b6ea5c4638p+0",
+                          "0x1.71816dd4b88c8p+2", "0x1.4000000000000p+4")),
+            ("K8", 7.0, ("0x1.3813813813814p-1", "0x1.1111111111112p-1",
+                         "0x1.1111111111111p+2", "0x1.c000000000000p+5")),
+        ],
+    )
+    def test_shifted_pieces(self, name, shift, bits):
+        assert tuple(x.hex() for x in metrics._shifted_pieces(named_graph(name), shift)) == bits
+
+
 class TestKirchhoffClosedForms:
     def test_hand_instances(self):
         k1, k2 = complete_graph(1), complete_graph(2)

@@ -55,11 +55,40 @@ def test_matrix_is_exactly_symmetric():
             assert np.array_equal(oi.matrix, oi.matrix.T)
 
 
+# beyond the corpus: larger first factors and both edge cases, G1 = K1
+# (n1 = 1) and G2 = K1 (m2 = 0)
+LIFT_PAIRS = [(cycle_graph(5), path_graph(4)), (path_graph(7), cycle_graph(3)),
+              (complete_graph(1), cycle_graph(4)), (path_graph(4), complete_graph(1))]
+
+
 def test_block_laplacian_matches_graph_laplacian_exactly():
-    # holds for every layout, including edge products of irregular factors
-    for _, _, g1, g2 in corpus_pairs():
+    # holds for every layout, including edge products of irregular factors;
+    # the strided lift writes +0.0 off the pattern, as laplacian does, where
+    # np.kron wrote -0.0 for a negative entry times a zero of the identity
+    pairs = [(g1, g2) for _, _, g1, g2 in corpus_pairs()] + LIFT_PAIRS
+    for g1, g2 in pairs:
         for layout in (corona_vertex(g1, g2), corona_edge(g1, g2)):
-            assert np.array_equal(laplacian_of_product(layout), laplacian(layout.product))
+            lap = laplacian_of_product(layout)
+            assert np.array_equal(lap, laplacian(layout.product))
+            assert not np.signbit(lap[lap == 0.0]).any()
+
+
+def test_matrix_has_the_bits_of_the_kron_sum():
+    pairs = [(g1, g2) for _, _, g1, g2 in corpus_pairs()] + LIFT_PAIRS
+    seen = set()
+    for g1, g2 in pairs:
+        assemblies = [one_inverse_vertex_corona(g1, g2)]
+        if edge_admissible(g2):
+            assemblies.append(one_inverse_edge_corona(g1, g2))
+        for oi in assemblies:
+            b, n1 = oi.gadget.shape[0], oi.layout.n1
+            want = np.kron(oi.gadget, np.eye(n1)) + np.kron(np.ones((b, b)), oi.s_sharp)
+            assert np.array_equal(oi.matrix.view(np.int64), want.view(np.int64))
+            seen.add((oi.layout.kind, n1 == 1, oi.layout.m2 == 0))
+    # both kinds, with n1 = 1 and m2 = 0 for the vertex kind; an edge product
+    # with m2 = 0 has no {1}-inverse, its second factor has degree 0
+    assert {("vertex", True, False), ("vertex", False, True), ("edge", True, False),
+            ("edge", False, False)} <= seen
 
 
 def test_block_shapes():

@@ -37,6 +37,14 @@ class TestNamedGraph:
         with pytest.raises(ValueError):
             named_graph("k2")
 
+    def test_each_name_is_built_once(self):
+        assert named_graph("C7") is named_graph("C7")
+        assert named_graph("P7") is not named_graph("C7")
+        # a bad name is never cached: it raises on every call
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                named_graph("Q3")
+
 
 @pytest.fixture(scope="module")
 def full_report():
@@ -239,7 +247,7 @@ class TestScaledBounds:
         # on P1500 the residuals reach 1.66e-8, above an absolute 1e-8; the
         # largest entry of X is (n - 1)(2n - 1) / 6n
         col = verify._Collector(None)
-        x = verify._group_inverse_rows(col, "factor/P1500", laplacian(path_graph(1500)))
+        x, _ = verify._group_inverse_rows(col, "factor/P1500", laplacian(path_graph(1500)))
         row = {c.case_id: c for c in col.cases}["group-inverse/factor/P1500"]
         assert row.status == "pass"
         assert row.tolerance == 1e-8 * np.abs(x).max()
@@ -249,7 +257,7 @@ class TestScaledBounds:
         # on P2000 the row sums of X reach 2.33e-10, above an absolute 1e-10,
         # while the largest entry of X is 666
         col = verify._Collector(None)
-        x = verify._group_inverse_rows(col, "factor/P2000", laplacian(path_graph(2000)))
+        x, _ = verify._group_inverse_rows(col, "factor/P2000", laplacian(path_graph(2000)))
         row = {c.case_id: c for c in col.cases}["group-inverse-nullvector/factor/P2000"]
         assert row.status == "pass"
         assert row.tolerance == 1e-10 * np.abs(x).max()
