@@ -5,8 +5,7 @@ from __future__ import annotations
 import sys
 
 from coronakit import (
-    corona_edge,
-    corona_vertex,
+    corona,
     is_regular,
     kf_edge_corona_regular,
     kf_vertex_corona,
@@ -24,11 +23,12 @@ def main() -> int:
         for b in CORPUS_G2:
             g1, g2 = named_graph(a), named_graph(b)
             kv = kf_vertex_corona(g1, g2).value
-            ov = kirchhoff_oracle(corona_vertex(g1, g2).product).value
+            ov = kirchhoff_oracle(corona(g1, g2, "vertex").product).value
             r2 = is_regular(g2)
             if r2 is not None and r2 >= 1:
                 ke = f"{kf_edge_corona_regular(g1, g2).value:14.4f}"
-                oe = f"{kirchhoff_oracle(corona_edge(g1, g2).product).value:14.4f}"
+                oe = kirchhoff_oracle(corona(g1, g2, "edge").product).value
+                oe = f"{oe:14.4f}"
             else:
                 ke = f"{'-':>14}"
                 oe = f"{'-':>14}"

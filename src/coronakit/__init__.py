@@ -15,8 +15,6 @@ from .graphs import (
     adjacency_matrix,
     complete_graph,
     corona,
-    corona_edge,
-    corona_vertex,
     cycle_graph,
     degree_matrix,
     format_edge_list,
@@ -36,8 +34,6 @@ from .linalg import (
     group_inverse_laplacian,
     group_inverse_trace_and_sum,
     inverse,
-    kron,
-    symmetric_eigenvalues,
 )
 from .metrics import (
     KirchhoffResult,
@@ -47,7 +43,6 @@ from .metrics import (
     kf_vertex_corona,
     kf_vertex_corona_regular,
     kirchhoff_oracle,
-    kirchhoff_pair_sum,
     metric_violation,
     neighbor_identity_check,
     resistance_edge_corona,

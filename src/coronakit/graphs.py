@@ -64,6 +64,9 @@ class Graph:
         n = int(n)
         if n < 0:
             raise ValueError("vertex_count must be non-negative")
+        # the sort keys below reach n*n - n - 1, which must fit in int64
+        if n * (n - 1) > 2**63:
+            raise ValueError(f"vertex_count {n} is too large: edge keys overflow int64")
         ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if ends.shape != (0,) and (ends.ndim != 2 or ends.shape[1] != 2):
             raise ValueError(f"edges must be (u, v) pairs, got shape {ends.shape}")
@@ -329,15 +332,12 @@ class CoronaLayout:
             return self.base_index(local)
         raise ValueError(f"unknown vertex class {cls!r}")
 
-    def block_slices(self) -> tuple[slice, slice, slice]:
-        s = self.subdivision_count
-        c = self.copy_count
-        return slice(0, s), slice(s, s + c), slice(s + c, self.n)
-
 
 def corona(g1: Graph, g2: Graph, kind: str) -> CoronaLayout:
     """The layout of the ``kind`` product ("vertex" or "edge") of ``g1`` and ``g2``.
 
+    Both kinds have ``n1 (1 + n2 + m2)`` vertices; the vertex product has
+    ``m1 + n1 n2 + 2 n1 m2`` edges and the edge product ``m1 + 3 n1 m2``.
     The product graph itself is built on the first read of ``.product``.
     Raises ``PreconditionError`` when ``g1`` is empty and ``ValueError``
     for an unknown kind.
@@ -345,24 +345,6 @@ def corona(g1: Graph, g2: Graph, kind: str) -> CoronaLayout:
     if g1.vertex_count == 0:
         raise PreconditionError("corona product needs a nonempty first factor")
     return CoronaLayout(kind=kind, g1=g1, g2=g2)
-
-
-def corona_vertex(g1: Graph, g2: Graph) -> CoronaLayout:
-    """Corona-vertex product: base vertices joined to their copy's original vertices.
-
-    The product has ``n1 (1 + n2 + m2)`` vertices and ``m1 + n1 n2 + 2 n1 m2``
-    edges.  Raises ``PreconditionError`` when ``g1`` is empty.
-    """
-    return corona(g1, g2, VERTEX_KIND)
-
-
-def corona_edge(g1: Graph, g2: Graph) -> CoronaLayout:
-    """Corona-edge product: base vertices joined to their copy's subdivision vertices.
-
-    Same vertex count as the vertex variant, ``m1 + 3 n1 m2`` edges.
-    Raises ``PreconditionError`` when ``g1`` is empty.
-    """
-    return corona(g1, g2, EDGE_KIND)
 
 
 def parse_edge_list(text: str) -> Graph:

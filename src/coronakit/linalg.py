@@ -50,11 +50,6 @@ def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; (p x q) and (r x s) give (p r x q s)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def _lift(out: np.ndarray, a: np.ndarray) -> None:
     # add kron(a, I_n) to the C-contiguous (p n x q n) array out in place, for
     # a of shape (p, q): on the (p, n, q, n) view, kron(a, I_n) is a at every
@@ -92,14 +87,6 @@ def inverse(a) -> np.ndarray:
     return scipy.linalg.lapack.dgetrs(lu, piv, np.eye(n, order="F"), overwrite_b=True)[0]
 
 
-def symmetric_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    m = require_symmetric(a)
-    if m.size == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(m)
-
-
 def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     # invert a column-major symmetric matrix in place from one Cholesky
     # factor; the result holds the inverse in its upper triangle and the
@@ -116,17 +103,26 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _shift_inverse(lap) -> np.ndarray:
-    # validate a Laplacian and invert L + J/n, upper triangle only
+def _symmetric_inverse(s: np.ndarray) -> np.ndarray:
+    # the full inverse of the positive definite matrix in s's lower triangle,
+    # overwriting s: LAPACK inverts s.T in place, column-major, from its upper
+    # triangle, which leaves the inverse in the lower triangle of z; adding the
+    # mirror doubles the diagonal exactly, and halving it restores its bits
+    z = _cholesky_inverse(s.T).T
+    z += z.T
+    z.reshape(-1)[:: len(z) + 1] *= 0.5
+    return z
+
+
+def _shift(lap) -> np.ndarray:
+    # validate a Laplacian and return L + J/n as a new array
     m = require_symmetric(lap, "laplacian")
     n = m.shape[0]
     if n == 0:
         raise ValueError("laplacian must have at least one vertex")
     if float(np.abs(m.sum(axis=1)).max()) > RESIDUAL_TOL:
         raise ValueError("laplacian rows must sum to zero")
-    # L + J/n is symmetric, so its transpose is the column-major array that
-    # LAPACK factors and inverts in place, with no copy
-    return _cholesky_inverse((m + 1.0 / n).T)
+    return m + 1.0 / n
 
 
 def group_inverse_laplacian(lap) -> np.ndarray:
@@ -152,25 +148,24 @@ def group_inverse_laplacian(lap) -> np.ndarray:
     SingularMatrixError
         If LAPACK cannot invert the Cholesky factor.
     """
-    x = _shift_inverse(lap)
-    n = x.shape[0]
-    x += np.triu(x, 1).T
-    x -= 1.0 / n
-    # x is symmetric, so its transpose is the same matrix in row-major order
-    return x.T
+    x = _symmetric_inverse(_shift(lap))
+    x -= 1.0 / len(x)
+    return x
 
 
 def group_inverse_trace_and_sum(lap) -> tuple[float, float]:
     """``(tr X, 1'X1)`` of the group inverse ``X`` of a connected graph's Laplacian.
 
-    Read off the upper triangle of ``(L + J/n)^-1`` that
-    ``group_inverse_laplacian`` starts from, without forming ``X``: its
-    diagonal minus ``1/n`` is the diagonal of ``X``, bit for bit, and
-    ``1'X1 = 2 * (upper-triangle sum) - (diagonal sum) - n``.  The second
-    number is zero up to rounding, since ``X 1 = 0``.  Validation and
-    errors are those of ``group_inverse_laplacian``.
+    Read off the one triangle of ``(L + J/n)^-1`` that LAPACK writes and
+    ``group_inverse_laplacian`` mirrors, without forming ``X`` or a second
+    ``n x n`` array: its diagonal minus ``1/n`` is the diagonal of ``X``,
+    bit for bit, and ``1'X1 = 2 * (triangle sum) - (diagonal sum) - n``.
+    The second number is zero up to rounding, since ``X 1 = 0``.
+    Validation and errors are those of ``group_inverse_laplacian``.
     """
-    x = _shift_inverse(lap)
+    # L + J/n is symmetric, so its transpose is the column-major array that
+    # LAPACK factors and inverts in place, with no copy
+    x = _cholesky_inverse(_shift(lap).T)
     n = x.shape[0]
     diagonal = np.diagonal(x)
     trace = float((diagonal - 1.0 / n).sum())

@@ -46,7 +46,7 @@ from .graphs import (
 )
 from .linalg import (
     RESIDUAL_TOL,
-    _cholesky_inverse,
+    _symmetric_inverse,
     group_inverse_laplacian,
     group_inverse_trace_and_sum,
     inverse,
@@ -58,8 +58,8 @@ from .one_inverse import OneInverse, _require_factors, _shifted_inverse, one_inv
 class KirchhoffResult:
     """A Kirchhoff index value tagged with the formula that produced it.
 
-    method is one of "oracle-trace", "oracle-sum", "theorem-4.1",
-    "corollary-4.2" or "theorem-4.3".
+    method is one of "oracle-trace", "theorem-4.1", "corollary-4.2" or
+    "theorem-4.3".
     """
 
     value: float
@@ -239,11 +239,6 @@ def kirchhoff_oracle(g: Graph) -> KirchhoffResult:
     return KirchhoffResult(value=value, method="oracle-trace")
 
 
-def kirchhoff_pair_sum(g: Graph) -> KirchhoffResult:
-    """Kirchhoff index as the sum of resistances over unordered pairs."""
-    return KirchhoffResult(value=float(resistance_oracle(g).sum() / 2.0), method="oracle-sum")
-
-
 # Smallest block of grounded vertices.  Smaller blocks take fewer flops and
 # more Python steps: with one BLAS thread, 32 and 64 were within 15 % of each
 # other on paths and grids of 500 to 4000 vertices, and 128 was 2.5 times
@@ -253,21 +248,11 @@ _MIN_BLOCK = 64
 
 def _block(diag: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # the lower triangle of diag(diag) - A for the edges u < v of one block:
-    # _block_inverse reads nothing above the diagonal
+    # _symmetric_inverse reads nothing above the diagonal
     s = np.zeros((len(diag), len(diag)))
     s[v, u] = -1.0
     np.fill_diagonal(s, diag)
     return s
-
-
-def _block_inverse(s: np.ndarray) -> np.ndarray:
-    # the transpose of S is the column-major array LAPACK inverts in place,
-    # reading only its upper triangle, the lower triangle of S; read back,
-    # the inverse is the lower triangle
-    z = _cholesky_inverse(s.T).T
-    z += z.T  # the triangle plus its mirror, diagonal doubled exactly
-    z.reshape(-1)[:: len(z) + 1] *= 0.5
-    return z
 
 
 def _selected_inverse(diag: np.ndarray, u: np.ndarray, v: np.ndarray, f: np.ndarray):
@@ -304,7 +289,7 @@ def _selected_inverse(diag: np.ndarray, u: np.ndarray, v: np.ndarray, f: np.ndar
     count = max(1, size // width)
     if count == 1:
         # one block, M = S_0^-1: the same arithmetic without the block indices
-        m = _block_inverse(_block(diag, u, v))
+        m = _symmetric_inverse(_block(diag, u, v))
         return m.diagonal().copy(), m[v, u], float(f @ m @ f)
     bounds = size * np.arange(count + 1) // count
     # the edges are sorted by their smaller end, so those starting in block b
@@ -326,7 +311,7 @@ def _selected_inverse(diag: np.ndarray, u: np.ndarray, v: np.ndarray, f: np.ndar
         s = _block(diag[lo:hi], iu, iv)
         if b:
             s -= p @ coupling.T
-        z = _block_inverse(s)
+        z = _symmetric_inverse(s)
         total += float(rhs @ z @ rhs)
         inverses.append(z)
         if b < count - 1:

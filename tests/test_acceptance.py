@@ -18,8 +18,7 @@ from coronakit import (
     SUBDIVISION,
     closed_form_resistance_matrix,
     complete_graph,
-    corona_edge,
-    corona_vertex,
+    corona,
     format_edge_list,
     group_inverse_laplacian,
     is_regular,
@@ -77,8 +76,8 @@ def test_criterion_1_construction_counts():
         pairs += 1
         n1, m1 = g1.vertex_count, g1.edge_count
         n2, m2 = g2.vertex_count, g2.edge_count
-        lv = corona_vertex(g1, g2)
-        le = corona_edge(g1, g2)
+        lv = corona(g1, g2, "vertex")
+        le = corona(g1, g2, "edge")
         ok &= lv.product.vertex_count == n1 * (1 + n2 + m2)
         ok &= le.product.vertex_count == n1 * (1 + n2 + m2)
         ok &= lv.product.edge_count == m1 + n1 * n2 + 2 * n1 * m2
@@ -136,7 +135,7 @@ def test_criterion_5_kirchhoff_closed_forms():
     worst = 0.0
     rows = 0
     for g1, g2 in corpus_pairs():
-        oracle_v = kirchhoff_oracle(corona_vertex(g1, g2).product).value
+        oracle_v = kirchhoff_oracle(corona(g1, g2, "vertex").product).value
         scale = 1e-8 * (1.0 + abs(oracle_v))
         general = kf_vertex_corona(g1, g2).value
         worst = max(worst, abs(general - oracle_v) / scale)
@@ -147,7 +146,7 @@ def test_criterion_5_kirchhoff_closed_forms():
             worst = max(worst, abs(special - general) / scale)
             rows += 2
         if edge_admissible(g2):
-            oracle_e = kirchhoff_oracle(corona_edge(g1, g2).product).value
+            oracle_e = kirchhoff_oracle(corona(g1, g2, "edge").product).value
             scale_e = 1e-8 * (1.0 + abs(oracle_e))
             closed_e = kf_edge_corona_regular(g1, g2).value
             worst = max(worst, abs(closed_e - oracle_e) / scale_e)
@@ -162,7 +161,7 @@ def test_criterion_6_local_neighbor_identity():
     for g1, g2 in corpus_pairs():
         kinds = ["vertex"] + (["edge"] if edge_admissible(g2) else [])
         for kind in kinds:
-            layout = corona_vertex(g1, g2) if kind == "vertex" else corona_edge(g1, g2)
+            layout = corona(g1, g2, kind)
             closed = closed_form_resistance_matrix(g1, g2, kind)
             worst = max(worst, neighbor_identity_check(layout.product, closed))
             worst = max(worst, neighbor_identity_check(layout.product, resistance_oracle(layout.product)))
@@ -174,7 +173,7 @@ def test_criterion_7_copy_pair_coefficient_regression():
     k1, k2 = complete_graph(1), complete_graph(2)
     printed = vertex_copy_resistance_alt(k2, 0, 1)
     shipped = resistance_vertex_corona(k1, k2, (COPY, 0, 0), (COPY, 1, 0))
-    layout = corona_vertex(k1, k2)
+    layout = corona(k1, k2, "vertex")
     oracle = resistance_oracle(layout.product)[layout.copy_index(0, 0), layout.copy_index(1, 0)]
     ok = (
         abs(printed - 1.25) < 1e-12
@@ -190,9 +189,9 @@ def test_criterion_8_group_inverse_contract():
     worst_null = 0.0
     graphs = [named_graph(name) for name in dict.fromkeys(CORPUS_G1 + CORPUS_G2)]
     for g1, g2 in corpus_pairs():
-        graphs.append(corona_vertex(g1, g2).product)
+        graphs.append(corona(g1, g2, "vertex").product)
         if edge_admissible(g2):
-            graphs.append(corona_edge(g1, g2).product)
+            graphs.append(corona(g1, g2, "edge").product)
     for g in graphs:
         lap = laplacian(g)
         x = group_inverse_laplacian(lap)
@@ -236,7 +235,7 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
     round_trip = (
         build.returncode == 0
         and parse_edge_list(built.read_text())
-        == corona_vertex(complete_graph(1), complete_graph(2)).product
+        == corona(complete_graph(1), complete_graph(2), "vertex").product
     )
 
     tight = run("verify", "--tolerance", "1e-15", "--out", str(tmp_path / "r3.json"))

@@ -18,7 +18,6 @@ from coronakit import (
     closed_form_resistance_matrix,
     complete_graph,
     corona,
-    corona_vertex,
     cycle_graph,
     format_edge_list,
     parse_edge_list,
@@ -229,7 +228,7 @@ class TestBuild:
         out = tmp_path / "prod.txt"
         assert main(["build", "--kind", "vertex", "--g1", k1, "--g2", k2, "--out", str(out)]) == 0
         product = parse_edge_list(out.read_text())
-        assert product == corona_vertex(complete_graph(1), complete_graph(2)).product
+        assert product == corona(complete_graph(1), complete_graph(2), "vertex").product
         manifest = json.loads((tmp_path / "prod.txt.manifest.json").read_text())
         assert manifest["n"] == 4
         assert manifest["kind"] == "vertex"
@@ -264,6 +263,14 @@ class TestBuild:
         assert main(["build", "--kind", "vertex", "--g1", str(bad), "--g2", k2]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_vertex_count_beyond_int64_exits_2_and_writes_nothing(self, tmp_path, k2, capsys):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1000000000000000000000 1\n0 1\n")
+        out = tmp_path / "prod.txt"
+        assert main(["build", "--kind", "vertex", "--g1", str(huge), "--g2", k2, "--out", str(out)]) == 2
+        assert "too large" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.txt", "k2.txt"]
+
     def test_missing_file(self, tmp_path, k2, capsys):
         missing = str(tmp_path / "nope.txt")
         assert main(["build", "--kind", "vertex", "--g1", missing, "--g2", k2]) == 2
@@ -274,7 +281,7 @@ class TestResistance:
         assert main(["resistance", "--kind", "vertex", "--g1", k1, "--g2", k2]) == 0
         payload = json.loads(capsys.readouterr().out)
         got = np.array(payload["matrix"])
-        want = resistance_oracle(corona_vertex(complete_graph(1), complete_graph(2)).product)
+        want = resistance_oracle(corona(complete_graph(1), complete_graph(2), "vertex").product)
         assert np.abs(got - want).max() < 1e-12
         assert payload["method"] == "oracle"
 

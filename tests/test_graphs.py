@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
 from coronakit import (
+    CoronaLayout,
     EdgeListError,
     Graph,
     PreconditionError,
     adjacency_matrix,
     complete_graph,
     corona,
-    corona_edge,
-    corona_vertex,
     cycle_graph,
     degree_matrix,
     format_edge_list,
@@ -128,6 +127,16 @@ class TestGraph:
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError):
             Graph(-1)
+
+    def test_rejects_a_vertex_count_whose_sort_keys_overflow(self):
+        # the keys u*n + v reach n*n - n - 1; int64 holds them up to n = 3_037_000_500
+        for n in (3_037_000_501, 4_000_000_000, 10**21):
+            with pytest.raises(ValueError, match="too large"):
+                Graph(n, [(n - 2, n - 1)])
+
+    def test_largest_vertex_counts_keep_their_edges(self):
+        for n in (3_037_000_499, 3_037_000_500):
+            assert Graph(n, [(n - 2, n - 1)]).edges == ((n - 2, n - 1),)
 
     def test_factories(self):
         assert complete_graph(4).edge_count == 6
@@ -315,9 +324,9 @@ class TestPredicates:
 
 class TestCorona:
     @given(connected_graphs(max_vertices=4), graphs(max_vertices=4))
-    def test_kind_dispatch_matches_named_products(self, g1, g2):
-        assert corona(g1, g2, "vertex") == corona_vertex(g1, g2)
-        assert corona(g1, g2, "edge") == corona_edge(g1, g2)
+    def test_kind_dispatch_builds_the_layout(self, g1, g2):
+        for kind in ("vertex", "edge"):
+            assert corona(g1, g2, kind) == CoronaLayout(kind=kind, g1=g1, g2=g2)
 
     @given(connected_graphs(max_vertices=4), graphs(max_vertices=5))
     @example(Graph(1), complete_graph(3))  # n1 = 1
@@ -337,7 +346,7 @@ class TestCorona:
             corona(complete_graph(2), complete_graph(2), "line")
 
     def test_vertex_product_of_k1_k2_is_four_cycle(self):
-        layout = corona_vertex(complete_graph(1), complete_graph(2))
+        layout = corona(complete_graph(1), complete_graph(2), "vertex")
         assert layout.product.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
         assert [layout.classify(v)[0] for v in range(4)] == [
             "subdivision",
@@ -347,29 +356,29 @@ class TestCorona:
         ]
 
     def test_vertex_product_of_k2_k1_is_path(self):
-        layout = corona_vertex(complete_graph(2), complete_graph(1))
+        layout = corona(complete_graph(2), complete_graph(1), "vertex")
         # pendant copy vertex per base vertex: path cop0 - base0 - base1 - cop1
         assert layout.product.edges == ((0, 2), (1, 3), (2, 3))
         assert is_connected(layout.product)
         assert sorted(layout.product.degrees()) == [1, 1, 2, 2]
 
     def test_edge_product_of_k1_k2_is_star(self):
-        layout = corona_edge(complete_graph(1), complete_graph(2))
+        layout = corona(complete_graph(1), complete_graph(2), "edge")
         assert layout.product.edges == ((0, 1), (0, 2), (0, 3))
         assert layout.classify(0) == ("subdivision", 0, 0)
 
     def test_empty_first_factor_rejected(self):
         with pytest.raises(PreconditionError):
-            corona_vertex(Graph(0), complete_graph(2))
+            corona(Graph(0), complete_graph(2), "vertex")
         with pytest.raises(PreconditionError):
-            corona_edge(Graph(0), complete_graph(2))
+            corona(Graph(0), complete_graph(2), "edge")
 
     @given(connected_graphs(max_vertices=4), graphs(max_vertices=4))
     def test_product_counts(self, g1, g2):
         n1, m1 = g1.vertex_count, g1.edge_count
         n2, m2 = g2.vertex_count, g2.edge_count
-        lv = corona_vertex(g1, g2)
-        le = corona_edge(g1, g2)
+        lv = corona(g1, g2, "vertex")
+        le = corona(g1, g2, "edge")
         assert lv.product.vertex_count == n1 * (1 + n2 + m2)
         assert le.product.vertex_count == n1 * (1 + n2 + m2)
         assert lv.product.edge_count == m1 + n1 * n2 + 2 * n1 * m2
@@ -377,17 +386,16 @@ class TestCorona:
 
     @given(connected_graphs(max_vertices=4), graphs(max_vertices=4))
     def test_classify_inverts_index_maps(self, g1, g2):
-        for layout in (corona_vertex(g1, g2), corona_edge(g1, g2)):
+        for layout in (corona(g1, g2, "vertex"), corona(g1, g2, "edge")):
             for v in range(layout.product.vertex_count):
                 coord = layout.classify(v)
                 assert layout.global_index(coord) == v
-            sub, cop, bas = layout.block_slices()
-            assert sub.stop - sub.start == layout.n1 * layout.m2
-            assert cop.stop - cop.start == layout.n1 * layout.n2
-            assert bas.stop - bas.start == layout.n1
+            assert layout.subdivision_count == layout.n1 * layout.m2
+            assert layout.copy_count == layout.n1 * layout.n2
+            assert layout.n - layout.subdivision_count - layout.copy_count == layout.n1
 
     def test_base_coordinate_owner_must_match(self):
-        layout = corona_vertex(complete_graph(2), complete_graph(2))
+        layout = corona(complete_graph(2), complete_graph(2), "vertex")
         with pytest.raises(ValueError):
             layout.global_index(("base", 0, 1))
 
@@ -395,8 +403,8 @@ class TestCorona:
     def test_one_copy_restriction_matches_single_base_product(self, g1, g2):
         # the subgraph induced by one copy plus its owner is the product with
         # a one-vertex first factor, up to the explicit relabeling below
-        single = corona_vertex(complete_graph(1), g2)
-        big = corona_vertex(g1, g2)
+        single = corona(complete_graph(1), g2, "vertex")
+        big = corona(g1, g2, "vertex")
         big_edges = set(big.product.edges)
         for owner in range(g1.vertex_count):
             def relabel(v):

@@ -22,8 +22,6 @@ from coronakit import (
     closed_form_resistance_matrix,
     complete_graph,
     corona,
-    corona_edge,
-    corona_vertex,
     cycle_graph,
     degree_matrix,
     edge_copy_resistance_alt,
@@ -34,7 +32,6 @@ from coronakit import (
     kf_vertex_corona,
     kf_vertex_corona_regular,
     kirchhoff_oracle,
-    kirchhoff_pair_sum,
     laplacian,
     metric_violation,
     named_graph,
@@ -87,7 +84,7 @@ class TestClosedFormDispatch:
     @pytest.mark.parametrize("a,b", SPOT_PAIRS)
     def test_vertex_matrix_matches_oracle(self, a, b):
         g1, g2 = named_graph(a), named_graph(b)
-        layout = corona_vertex(g1, g2)
+        layout = corona(g1, g2, "vertex")
         closed = closed_form_resistance_matrix(g1, g2, "vertex")
         oracle = resistance_oracle(layout.product)
         assert np.abs(closed - oracle).max() < 1e-9
@@ -95,7 +92,7 @@ class TestClosedFormDispatch:
     @pytest.mark.parametrize("a,b", [(a, b) for a, b in SPOT_PAIRS if is_regular(named_graph(b))])
     def test_edge_matrix_matches_oracle(self, a, b):
         g1, g2 = named_graph(a), named_graph(b)
-        layout = corona_edge(g1, g2)
+        layout = corona(g1, g2, "edge")
         closed = closed_form_resistance_matrix(g1, g2, "edge")
         oracle = resistance_oracle(layout.product)
         assert np.abs(closed - oracle).max() < 1e-9
@@ -113,7 +110,7 @@ class TestClosedFormDispatch:
     def test_one_inverse_read_matches_oracle(self):
         g1, g2 = named_graph("K2"), named_graph("C3")
         for kind in ("vertex", "edge"):
-            layout = corona_vertex(g1, g2) if kind == "vertex" else corona_edge(g1, g2)
+            layout = corona(g1, g2, kind)
             direct = resistance_matrix_from_one_inverse(one_inverse_corona(g1, g2, kind).matrix)
             oracle = resistance_oracle(layout.product)
             assert np.abs(direct - oracle).max() < 1e-9
@@ -142,7 +139,7 @@ class TestClosedFormDispatch:
         want = 2.0 * (q[0, 0] + q[1, 1] - 2.0 * q[0, 1])
         got = resistance_vertex_corona(g1, g2, (COPY, 0, 0), (COPY, 1, 0), one_inv=oi)
         assert got == pytest.approx(want, abs=1e-14)
-        oracle = resistance_oracle(corona_vertex(g1, g2).product)
+        oracle = resistance_oracle(corona(g1, g2, "vertex").product)
         assert got == pytest.approx(oracle[oi.layout.copy_index(0, 0), oi.layout.copy_index(1, 0)], abs=1e-12)
 
     def test_subdivision_expansion_follows_neighbor_values(self):
@@ -191,7 +188,7 @@ class TestNeighborIdentity:
 
     def test_exact_on_products(self):
         g1, g2 = named_graph("K2"), named_graph("C3")
-        for layout in (corona_vertex(g1, g2), corona_edge(g1, g2)):
+        for layout in (corona(g1, g2, "vertex"), corona(g1, g2, "edge")):
             r = resistance_oracle(layout.product)
             assert neighbor_identity_check(layout.product, r) < 1e-9
 
@@ -210,7 +207,7 @@ class TestNeighborIdentity:
         # reference: the identity evaluated one (i, j) pair at a time, skipping
         # vertices of degree 0
         graphs = (
-            corona_vertex(named_graph("S3"), named_graph("C4")).product,
+            corona(named_graph("S3"), named_graph("C4"), "vertex").product,
             Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))),  # vertex 5 is isolated
             Graph(0),
         )
@@ -273,13 +270,12 @@ class TestKirchhoffOracle:
 
     def test_methods(self):
         assert kirchhoff_oracle(complete_graph(3)).method == "oracle-trace"
-        assert kirchhoff_pair_sum(complete_graph(3)).method == "oracle-sum"
 
     def test_trace_and_sum_agree(self):
         for name in ("K2", "P3", "C4", "S3", "K3"):
             g = named_graph(name)
             assert kirchhoff_oracle(g).value == pytest.approx(
-                kirchhoff_pair_sum(g).value, abs=1e-8
+                resistance_oracle(g).sum() / 2.0, abs=1e-8
             )
 
     def test_disconnected_rejected(self):
@@ -495,8 +491,8 @@ class TestGroundedKirchhoff:
             metrics._grounded_kirchhoff(g)
 
     def test_foster_self_check_catches_a_wrong_inverse(self, monkeypatch):
-        inverse = metrics._cholesky_inverse
-        monkeypatch.setattr(metrics, "_cholesky_inverse", lambda a: (1.0 + 1e-6) * inverse(a))
+        inverse = metrics._symmetric_inverse
+        monkeypatch.setattr(metrics, "_symmetric_inverse", lambda a: (1.0 + 1e-6) * inverse(a))
         for g in (path_graph(5), path_graph(400), _wheel(300)):
             with pytest.raises(CoronaKitError, match="Foster"):
                 metrics._grounded_kirchhoff(g)
@@ -578,7 +574,7 @@ class TestKirchhoffClosedForms:
     @pytest.mark.parametrize("a,b", SPOT_PAIRS)
     def test_vertex_matches_oracle(self, a, b):
         g1, g2 = named_graph(a), named_graph(b)
-        want = kirchhoff_oracle(corona_vertex(g1, g2).product).value
+        want = kirchhoff_oracle(corona(g1, g2, "vertex").product).value
         got = kf_vertex_corona(g1, g2).value
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
@@ -592,7 +588,7 @@ class TestKirchhoffClosedForms:
     def test_edge_matches_oracle(self):
         for a, b in (("K2", "K2"), ("P3", "C3"), ("S3", "K3"), ("K3", "C4")):
             g1, g2 = named_graph(a), named_graph(b)
-            want = kirchhoff_oracle(corona_edge(g1, g2).product).value
+            want = kirchhoff_oracle(corona(g1, g2, "edge").product).value
             got = kf_edge_corona_regular(g1, g2).value
             assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
@@ -607,7 +603,7 @@ class TestKirchhoffClosedForms:
         # three pendant-free isolated copies per base vertex still connect
         # through the join, so the general vertex formula must cover it
         g1, g2 = complete_graph(3), Graph(3)
-        want = kirchhoff_oracle(corona_vertex(g1, g2).product).value
+        want = kirchhoff_oracle(corona(g1, g2, "vertex").product).value
         assert kf_vertex_corona(g1, g2).value == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize(

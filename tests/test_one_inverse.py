@@ -6,8 +6,7 @@ import pytest
 from coronakit import (
     Graph,
     PreconditionError,
-    corona_edge,
-    corona_vertex,
+    corona,
     complete_graph,
     cycle_graph,
     incidence_matrix,
@@ -67,7 +66,7 @@ def test_block_laplacian_matches_graph_laplacian_exactly():
     # np.kron wrote -0.0 for a negative entry times a zero of the identity
     pairs = [(g1, g2) for _, _, g1, g2 in corpus_pairs()] + LIFT_PAIRS
     for g1, g2 in pairs:
-        for layout in (corona_vertex(g1, g2), corona_edge(g1, g2)):
+        for layout in (corona(g1, g2, "vertex"), corona(g1, g2, "edge")):
             lap = laplacian_of_product(layout)
             assert np.array_equal(lap, laplacian(layout.product))
             assert not np.signbit(lap[lap == 0.0]).any()
@@ -104,7 +103,8 @@ def test_block_shapes():
     x = oi.matrix
     assert x.shape == (n1 * b,) * 2
     # the all-ones lifts: every block against the base block is S# stacked
-    sub, cop, bas = oi.layout.block_slices()
+    s, c = oi.layout.subdivision_count, oi.layout.copy_count
+    sub, cop, bas = slice(0, s), slice(s, s + c), slice(s + c, oi.layout.n)
     assert np.array_equal(x[bas, bas], oi.s_sharp)
     assert np.array_equal(x[sub, bas], np.tile(oi.s_sharp, (m2, 1)))
     assert np.array_equal(x[cop, bas], np.tile(oi.s_sharp, (n2, 1)))
@@ -171,8 +171,8 @@ def test_schur_complement_of_base_block_is_first_factor_laplacian():
     for a, b in (("K2", "C3"), ("P3", "K2"), ("S3", "C4"), ("K3", "K3")):
         g1, g2 = named_graph(a), named_graph(b)
         for layout in (
-            corona_vertex(g1, g2),
-            corona_edge(g1, g2) if edge_admissible(g2) else None,
+            corona(g1, g2, "vertex"),
+            corona(g1, g2, "edge") if edge_admissible(g2) else None,
         ):
             if layout is None:
                 continue
