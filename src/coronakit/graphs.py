@@ -197,7 +197,9 @@ def subdivision(g: Graph) -> Graph:
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability, computed once per graph.
 
-    Graphs with at most one vertex count as connected.
+    Graphs with at most one vertex count as connected.  The closed forms
+    and oracles do not call it: the Cholesky factorization each of them
+    runs fails on a disconnected graph, and is their connectivity test.
     """
     return g._connected
 

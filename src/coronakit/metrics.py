@@ -40,7 +40,6 @@ from .graphs import (
     Coord,
     Graph,
     adjacency_matrix,
-    is_connected,
     is_regular,
     laplacian,
 )
@@ -72,10 +71,15 @@ def resistance_matrix_from_one_inverse(x: np.ndarray) -> np.ndarray:
 
 
 def resistance_oracle(g: Graph) -> np.ndarray:
-    """Brute-force resistance matrix through the full-graph group inverse."""
-    if not is_connected(g):
-        raise PreconditionError("resistance distance needs a connected graph")
-    return resistance_matrix_from_one_inverse(group_inverse_laplacian(laplacian(g)))
+    """Brute-force resistance matrix through the full-graph group inverse.
+
+    The Cholesky factor behind the group inverse is the connectivity test.
+    """
+    try:
+        x = group_inverse_laplacian(laplacian(g))
+    except PreconditionError:
+        raise PreconditionError("resistance distance needs a connected graph") from None
+    return resistance_matrix_from_one_inverse(x)
 
 
 def _resistance(oi: OneInverse, u, v):
@@ -87,8 +91,24 @@ def _resistance(oi: OneInverse, u, v):
     return w[p, p] + w[q, q] - 2.0 * w[p, q] * (i == j) + (s[i, i] + s[j, j] - 2.0 * s[i, j])
 
 
+def _own_inverse(g1: Graph, g2: Graph, kind: str, one_inv: OneInverse | None) -> OneInverse:
+    # the given inverse if it is the kind product's of g1 and g2, a new one if
+    # none is given; identity is tried before the value comparison, which
+    # costs a pass over the edges, so a caller reusing its factors pays little
+    if one_inv is None:
+        return one_inverse_corona(g1, g2, kind)
+    layout = one_inv.layout
+    if (
+        layout.kind != kind
+        or not (layout.g1 is g1 or layout.g1 == g1)
+        or not (layout.g2 is g2 or layout.g2 == g2)
+    ):
+        raise ValueError(f"one_inv does not belong to the {kind} product of these factors")
+    return one_inv
+
+
 def _pair_query(g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None, kind: str) -> float:
-    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind)
+    oi = _own_inverse(g1, g2, kind, one_inv)
     return float(_resistance(oi, oi.layout.global_index(i), oi.layout.global_index(j)))
 
 
@@ -98,7 +118,9 @@ def resistance_vertex_corona(
     """Closed-form resistance between two vertex-product vertices.
 
     Coordinates are (class, local index, copy owner) triples as produced
-    by ``CoronaLayout.classify``.
+    by ``CoronaLayout.classify``.  ``one_inv``, when given, must be the
+    vertex product's ``OneInverse`` for these factors, or ``ValueError`` is
+    raised.
     """
     return _pair_query(g1, g2, i, j, one_inv, VERTEX_KIND)
 
@@ -106,7 +128,10 @@ def resistance_vertex_corona(
 def resistance_edge_corona(
     g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None = None
 ) -> float:
-    """Closed-form resistance between two edge-product vertices."""
+    """Closed-form resistance between two edge-product vertices.
+
+    As ``resistance_vertex_corona``, for the edge product.
+    """
     return _pair_query(g1, g2, i, j, one_inv, EDGE_KIND)
 
 
@@ -115,10 +140,11 @@ def closed_form_resistance_matrix(
 ) -> np.ndarray:
     """Full resistance matrix from the closed-form expression, broadcast over all pairs.
 
-    ``one_inv``, when given, is the product's ``OneInverse`` and is used
-    instead of assembling a new one.
+    ``one_inv``, when given, is used instead of assembling a new one; it
+    must be the ``kind`` product's ``OneInverse`` for these factors, or
+    ``ValueError`` is raised.
     """
-    oi = one_inv if one_inv is not None else one_inverse_corona(g1, g2, kind)
+    oi = _own_inverse(g1, g2, kind, one_inv)
     v = np.arange(oi.layout.n)
     return _resistance(oi, v[:, None], v)
 
@@ -226,10 +252,12 @@ def kirchhoff_oracle(g: Graph) -> KirchhoffResult:
     come from ``group_inverse_trace_and_sum`` without forming ``X`` or a
     resistance matrix; disagreement beyond ``RESIDUAL_TOL`` relative to
     ``1 + Kf`` raises, since that would mean the oracle itself is broken.
+    The Cholesky factor is also the connectivity test.
     """
-    if not is_connected(g):
-        raise PreconditionError("Kirchhoff index needs a connected graph")
-    trace, total = group_inverse_trace_and_sum(laplacian(g))
+    try:
+        trace, total = group_inverse_trace_and_sum(laplacian(g))
+    except PreconditionError:
+        raise PreconditionError("Kirchhoff index needs a connected graph") from None
     value = float(g.vertex_count * trace)
     pair_sum = value - total
     if abs(value - pair_sum) > RESIDUAL_TOL * (1.0 + abs(value)):
@@ -409,14 +437,20 @@ def _grounded_kirchhoff(g: Graph) -> float:
 @lru_cache(maxsize=32)
 def _first_factor_kirchhoff(g1: Graph) -> float:
     # Kf(G1) is the same for every second factor and both kinds, so it is
-    # computed once per first-factor value; Graph hashes by value
-    return _grounded_kirchhoff(g1)
+    # computed once per first-factor value; Graph hashes by value.  The
+    # grounded factorization is G1's connectivity test, and a raise caches
+    # nothing
+    try:
+        return _grounded_kirchhoff(g1)
+    except PreconditionError:
+        raise PreconditionError("first factor must be connected") from None
 
 
 def _kirchhoff_bracket(g1: Graph, g2: Graph, c: float, t: float, s: float) -> float:
     # n1 (1 + n2 + m2) times the bracket of Thm 4.1, Cor 4.2 and Thm 4.3, with
     # c = 2 (vertex) or 3 (edge) and each theorem's trace term t and shifted sum
-    # s; callers check every precondition first, so a raise never fills the memo
+    # s; callers check the second factor's preconditions first, and Kf(G1)
+    # then tests the first factor's connectivity
     n1 = g1.vertex_count
     n2, m2 = g2.vertex_count, g2.edge_count
     bracket = (

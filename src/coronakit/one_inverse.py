@@ -46,7 +46,6 @@ from .graphs import (
     corona,
     degree_matrix,
     incidence_matrix,
-    is_connected,
     is_regular,
     laplacian,
 )
@@ -86,11 +85,16 @@ class OneInverse:
 
 
 def _require_factors(g1: Graph, g2: Graph, kind: str) -> int:
-    """Validate preconditions; return the second factor's degree for the edge kind."""
+    """Check the cheap preconditions; return the second factor's degree for the edge kind.
+
+    These are a nonempty first factor and, for the edge kind, a regular
+    second factor of degree at least 1 (0 is returned for the vertex kind).
+    The first factor's connectivity is not tested here: each caller's
+    factorization of it, the grounded Laplacian for ``Kf(G1)`` or
+    ``L1 + J/n1`` for ``S#``, fails on a disconnected one.
+    """
     if g1.vertex_count == 0:
         raise PreconditionError("corona product needs a nonempty first factor")
-    if not is_connected(g1):
-        raise PreconditionError("first factor must be connected")
     if kind == EDGE_KIND:
         r2 = is_regular(g2)
         if r2 is None:
@@ -112,6 +116,12 @@ def _shifted_inverse(g2: Graph, shift: float) -> np.ndarray:
 def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
     """Symmetric {1}-inverse of the ``kind`` product's Laplacian."""
     layout = corona(g1, g2, kind)
+    # S# first: its Cholesky factor is the first factor's connectivity test,
+    # which comes before the second factor's checks
+    try:
+        s_sharp = group_inverse_laplacian(laplacian(g1))
+    except PreconditionError:
+        raise PreconditionError("first factor must be connected") from None
     r2 = _require_factors(g1, g2, kind)
     n2, m2 = layout.n2, layout.m2
     r2mat = incidence_matrix(g2)
@@ -128,7 +138,7 @@ def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
     w[sub, cop] = coupling
     w[cop, sub] = coupling.T
     w[cop, cop] = coeff * q_inv
-    return OneInverse(layout=layout, s_sharp=group_inverse_laplacian(laplacian(g1)), gadget=w)
+    return OneInverse(layout=layout, s_sharp=s_sharp, gadget=w)
 
 
 def one_inverse_vertex_corona(g1: Graph, g2: Graph) -> OneInverse:

@@ -169,11 +169,19 @@ def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray):
     # routes read off the same X; returns X and the oracle resistance matrix
     # that the pair-sum route reads, for the product rows
     x = group_inverse_laplacian(lap)
-    residual = max(
-        _max_abs(lap @ x @ lap - lap),
-        _max_abs(x @ lap @ x - x),
-        _max_abs(lap @ x - x @ lap),
-    )
+    # |L X L - L|, |X L X - X| and |L X - X L| from four products, none made
+    # twice, in two buffers beside L and X; L X L and X L X multiply left to
+    # right, so each step has the bits of the expression it replaces
+    lx = lap @ x
+    buf = lx @ lap
+    buf -= lap
+    lxl = _max_abs(buf)
+    np.matmul(x, lap, out=buf)  # X L
+    lx -= buf
+    commutator = _max_abs(lx)
+    np.matmul(buf, x, out=lx)
+    lx -= x
+    residual = max(lxl, _max_abs(lx), commutator)
     # the residuals and the row sums grow with the entries of X, as on long paths
     scale = max(1.0, _max_abs(x))
     col.check(f"group-inverse/{prefix}", residual, RESIDUAL_TOL * scale)

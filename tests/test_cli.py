@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from coronakit import (
     ENTRY_TOL,
+    Graph,
     closed_form_resistance_matrix,
     complete_graph,
     corona,
@@ -356,6 +357,27 @@ class TestResistance:
         assert code == 3
         assert "connected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method,message",
+        [
+            ("both", "first factor must be connected"),
+            ("oracle", "resistance distance needs a connected graph"),
+        ],
+    )
+    def test_disconnected_first_factor_with_the_oracle(self, tmp_path, k2, method, message, capsys):
+        disc = tmp_path / "disc.txt"
+        disc.write_text("4 2\n0 1\n2 3\n")
+        out = tmp_path / "out.json"
+        code = main(
+            [
+                "resistance", "--kind", "vertex", "--g1", str(disc), "--g2", k2,
+                "--method", method, "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestKirchhoff:
     def test_closed_form_value(self, capsys, k1, k2):
@@ -388,6 +410,28 @@ class TestKirchhoff:
         code = main(["kirchhoff", "--formula", "thm4.3", "--g1", k2, "--g2", p3])
         assert code == 3
         assert "regular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "formula,message",
+        [
+            ("thm4.1", "first factor must be connected"),
+            ("cor4.2", "first factor must be connected"),
+            ("thm4.3", "first factor must be connected"),
+            ("oracle", "Kirchhoff index needs a connected graph"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [4, 300], ids=["small", "reordered"])
+    def test_disconnected_first_factor(self, tmp_path, formula, message, n, capsys):
+        # a star and a path; at 300 vertices the star's spoke (0, 149) sends
+        # the first factor's kernel to the hub route
+        half = n // 2
+        g1 = Graph(n, [(0, i) for i in range(1, half)] + [(i, i + 1) for i in range(half, n - 1)])
+        disc = write_graph(tmp_path, "disc.txt", g1)
+        c4 = write_graph(tmp_path, "c4.txt", cycle_graph(4))
+        kind = "edge" if formula == "thm4.3" else "vertex"
+        code = main(["kirchhoff", "--formula", formula, "--kind", kind, "--g1", disc, "--g2", c4])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestVerify:
@@ -471,6 +515,18 @@ class TestSubprocess:
         assert proc.returncode == 2
         assert "tolerance must be a positive finite number" in proc.stderr
         assert not proc.stdout
+
+    def test_kirchhoff_table_script(self):
+        # every corpus pair, each closed form printed next to its oracle
+        script = Path(__file__).resolve().parents[1] / "scripts" / "kirchhoff_table.py"
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert len(rows) == 30
+        for pair, vertex_closed, vertex_oracle, edge_closed, edge_oracle in rows:
+            assert vertex_closed == vertex_oracle, pair
+            assert edge_closed == edge_oracle, pair
+        assert sum(row[3] != "-" for row in rows) == 5 * 4  # C3, C4, K2 and K3 are regular of degree >= 1
 
     def test_help_exits_zero(self):
         proc = subprocess.run(

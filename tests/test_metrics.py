@@ -713,6 +713,159 @@ class TestKirchhoffClosedForms:
             kf_edge_corona_regular(complete_graph(2), complete_graph(1))
 
 
+@st.composite
+def _disconnected_graphs(draw):
+    """Two or three connected pieces, single vertices among them, in a shuffled numbering.
+
+    The shuffle puts the last vertex, which the grounded kernel grounds, in
+    any piece: the largest one or an isolated vertex.
+    """
+    pieces = draw(st.lists(connected_graphs(min_vertices=1, max_vertices=6), min_size=2, max_size=3))
+    edges, n = [], 0
+    for piece in pieces:
+        edges += [(u + n, v + n) for u, v in piece.edges]
+        n += piece.vertex_count
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _twice(g: Graph) -> Graph:
+    # two disjoint copies of g, the second numbered after the first
+    n = g.vertex_count
+    return Graph(2 * n, list(g.edges) + [(u + n, v + n) for u, v in g.edges])
+
+
+# every route that factors a graph it must reject when disconnected, with the
+# message it raises: the first factor's for the closed forms and the {1}-inverse,
+# the whole graph's for the oracles
+_FIRST = "first factor must be connected"
+_CONNECTIVITY_ROUTES = (
+    (lambda g: kf_vertex_corona(g, cycle_graph(4)), _FIRST),
+    (lambda g: kf_vertex_corona_regular(g, cycle_graph(4)), _FIRST),
+    (lambda g: kf_edge_corona_regular(g, cycle_graph(4)), _FIRST),
+    (lambda g: one_inverse_corona(g, cycle_graph(4), "edge"), _FIRST),
+    (resistance_oracle, "resistance distance needs a connected graph"),
+    (kirchhoff_oracle, "Kirchhoff index needs a connected graph"),
+)
+
+
+def _assert_every_route_rejects(g: Graph) -> None:
+    for call, message in _CONNECTIVITY_ROUTES:
+        with pytest.raises(PreconditionError) as raised:
+            call(g)
+        assert str(raised.value) == message
+
+
+class TestConnectivityByFactorization:
+    """Each route's own Cholesky factor is its connectivity test; no search runs."""
+
+    @given(_disconnected_graphs())
+    def test_disconnected_graphs_are_rejected_with_each_routes_message(self, g):
+        _assert_every_route_rejects(g)
+        with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
+            one_inverse_corona(g, cycle_graph(4), "vertex")
+        assert metrics._first_factor_kirchhoff.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(2),
+            Graph(6, [(i, i + 1) for i in range(4)]),  # the ground is an isolated vertex
+            Graph(6, [(i, i + 1) for i in range(1, 5)]),  # the ground in the big piece
+        ],
+        ids=["two-isolated", "ground-isolated", "ground-in-big-piece"],
+    )
+    def test_isolated_vertices(self, g):
+        _assert_every_route_rejects(g)
+
+    def test_multi_block_route(self, monkeypatch):
+        # two P150: 299 grounded vertices in 4 blocks of the kernel, the
+        # singular piece ending inside the third
+        factored = []
+        inverse = metrics._symmetric_inverse
+        monkeypatch.setattr(metrics, "_symmetric_inverse", lambda s: factored.append(len(s)) or inverse(s))
+        with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
+            metrics._first_factor_kirchhoff(_twice(path_graph(150)))
+        assert len(factored) == 3 and min(factored) >= 64
+        _assert_every_route_rejects(_twice(path_graph(150)))
+
+    def test_hub_route(self, monkeypatch):
+        # two W150: the reach from vertex 0 sends the kernel to the hub and
+        # reverse Cuthill-McKee, on a pattern with two pieces
+        hubs = []
+        order = metrics._hub_grounded_order
+        monkeypatch.setattr(metrics, "_hub_grounded_order", lambda g, d: hubs.append(g) or order(g, d))
+        g = _twice(_wheel(150))
+        with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
+            metrics._first_factor_kirchhoff(g)
+        assert hubs == [g]
+        _assert_every_route_rejects(g)
+
+    def test_no_route_runs_a_search(self, monkeypatch):
+        from collections import deque
+
+        from coronakit import graphs as graphs_module
+
+        searches = []
+
+        def counting_deque(*args):
+            searches.append(args)
+            return deque(*args)
+
+        monkeypatch.setattr(graphs_module, "deque", counting_deque)
+        for call, _ in _CONNECTIVITY_ROUTES:
+            call(cycle_graph(5))  # a fresh graph for every call
+            with pytest.raises(PreconditionError):
+                call(Graph(4, ((0, 1), (2, 3))))
+        assert searches == []
+
+    def test_second_factor_precondition_comes_first(self):
+        # a disconnected first factor with an irregular second factor: the
+        # regular formulas report the second factor, whose checks come before
+        # Kf(G1); Thm 4.1 has none, and the {1}-inverse factors S# first
+        g1, g2 = Graph(4, ((0, 1), (2, 3))), path_graph(3)
+        with pytest.raises(PreconditionError, match="^this formula needs a regular second factor$"):
+            kf_vertex_corona_regular(g1, g2)
+        with pytest.raises(PreconditionError, match="^edge product needs a regular second factor$"):
+            kf_edge_corona_regular(g1, g2)
+        with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
+            kf_vertex_corona(g1, g2)
+        with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
+            one_inverse_corona(g1, g2, "edge")
+
+
+class TestOneInverseOwnership:
+    """A given ``one_inv`` must be the queried product's."""
+
+    def test_another_products_inverse_is_rejected(self):
+        g1, g2 = path_graph(3), cycle_graph(4)
+        edge = one_inverse_edge_corona(g1, g2)
+        other = one_inverse_vertex_corona(g1, complete_graph(4))
+        a, b = (COPY, 0, 0), (BASE, 2, 2)
+        for wrong in (edge, other, one_inverse_vertex_corona(path_graph(4), g2)):
+            with pytest.raises(ValueError, match="does not belong to the vertex product"):
+                resistance_vertex_corona(g1, g2, a, b, one_inv=wrong)
+            with pytest.raises(ValueError, match="does not belong to the vertex product"):
+                closed_form_resistance_matrix(g1, g2, "vertex", one_inv=wrong)
+        with pytest.raises(ValueError, match="does not belong to the edge product"):
+            resistance_edge_corona(g1, g2, a, b, one_inv=one_inverse_vertex_corona(g1, g2))
+
+    def test_factors_equal_by_value_are_accepted(self):
+        g1, g2 = path_graph(3), cycle_graph(4)
+        oi = one_inverse_vertex_corona(g1, g2)
+        c1, c2 = Graph(3, [(1, 2), (0, 1)]), Graph(4, list(reversed(g2.edges)))
+        assert c1 is not g1 and c2 is not g2
+        a, b = (COPY, 0, 0), (BASE, 2, 2)
+        want = resistance_oracle(oi.layout.product)[oi.layout.global_index(a), oi.layout.global_index(b)]
+        got = resistance_vertex_corona(c1, c2, a, b, one_inv=oi)
+        assert got == resistance_vertex_corona(g1, g2, a, b)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(
+            closed_form_resistance_matrix(c1, c2, "vertex", one_inv=oi),
+            closed_form_resistance_matrix(g1, g2, "vertex"),
+        )
+
+
 class TestProperties:
     @given(connected_graphs(min_vertices=2, max_vertices=6))
     def test_oracle_is_a_metric(self, g):
