@@ -19,14 +19,17 @@ import sys
 import numpy as np
 
 from .errors import CoronaKitError, EdgeListError, PreconditionError, SingularMatrixError
-from .graphs import CoronaLayout, Graph, corona, format_edge_list, parse_edge_list
+from .graphs import CoronaLayout, corona, format_edge_list, parse_edge_list
 from .linalg import ENTRY_TOL, RESIDUAL_TOL
 from .metrics import (
+    KIRCHHOFF_NEEDS_CONNECTED,
+    RESISTANCE_NEEDS_CONNECTED,
     closed_form_resistance_matrix,
     kf_edge_corona_regular,
     kf_vertex_corona,
     kf_vertex_corona_regular,
     kirchhoff_oracle,
+    require_connected_product,
     resistance_oracle,
 )
 from .verify import builtin_pairs, report_to_dict, run_verification
@@ -145,13 +148,16 @@ def render_csv(matrix) -> str:
     return "\n".join(_float_rows(a, ",")) + "\n"
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_edge_list(text)
-    except EdgeListError as exc:
-        raise EdgeListError(None, f"{path}: {exc}") from None
+def _load_layout(args, kind: str) -> CoronaLayout:
+    factors = []
+    for path in (args.g1, args.g2):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            factors.append(parse_edge_list(text))
+        except EdgeListError as exc:
+            raise EdgeListError(None, f"{path}: {exc}") from None
+    return corona(*factors, kind)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -178,19 +184,12 @@ def layout_manifest(layout: CoronaLayout) -> dict:
 
 
 def cmd_build(args) -> int:
-    g1 = _load_graph(args.g1)
-    g2 = _load_graph(args.g2)
-    layout = corona(g1, g2, args.kind)
-    edge_text = format_edge_list(layout.product)
-    manifest_text = render_json(layout_manifest(layout))
-    if args.out and args.out != "-":
-        _write_text(edge_text, args.out)
-        manifest_path = args.manifest if args.manifest else args.out + ".manifest.json"
-        _write_text(manifest_text, manifest_path)
-    else:
-        sys.stdout.write(edge_text)
-        if args.manifest:
-            _write_text(manifest_text, args.manifest)
+    layout = _load_layout(args, args.kind)
+    # the manifest is rendered only when written: to --manifest, else beside a file --out
+    out = args.out if args.out not in ("", "-") else None
+    _write_text(format_edge_list(layout.product), out)
+    if args.manifest or out:
+        _write_text(render_json(layout_manifest(layout)), args.manifest or out + ".manifest.json")
     return EXIT_OK
 
 
@@ -198,10 +197,7 @@ def cmd_resistance(args) -> int:
     if args.method == "both" and args.format == "csv":
         print("error: --method both requires --format json", file=sys.stderr)
         return EXIT_USAGE
-    g1 = _load_graph(args.g1)
-    g2 = _load_graph(args.g2)
-    layout = corona(g1, g2, args.kind)
-
+    layout = _load_layout(args, args.kind)
     payload: dict = {
         "command": "resistance",
         "kind": args.kind,
@@ -210,11 +206,12 @@ def cmd_resistance(args) -> int:
     }
     exit_code = EXIT_OK
     if args.method == "oracle":
+        require_connected_product(layout, RESISTANCE_NEEDS_CONNECTED)
         payload["matrix"] = resistance_oracle(layout.product)
     elif args.method == "closed-form":
-        payload["matrix"] = closed_form_resistance_matrix(g1, g2, args.kind)
+        payload["matrix"] = closed_form_resistance_matrix(layout.g1, layout.g2, args.kind)
     else:
-        closed = closed_form_resistance_matrix(g1, g2, args.kind)
+        closed = closed_form_resistance_matrix(layout.g1, layout.g2, args.kind)
         oracle = resistance_oracle(layout.product)
         deviation = float(np.abs(closed - oracle).max()) if closed.size else 0.0
         bound = args.tolerance or ENTRY_TOL * max(1.0, float(oracle.max()))
@@ -251,15 +248,15 @@ def cmd_kirchhoff(args) -> int:
     elif args.kind is not None and args.kind != kind:
         print(f"error: --formula {args.formula} applies to the {kind} product", file=sys.stderr)
         return EXIT_USAGE
-    g1 = _load_graph(args.g1)
-    g2 = _load_graph(args.g2)
-    layout = corona(g1, g2, kind)
-    # formula preconditions first, so their message wins over a downstream
-    # disconnected-product complaint from the oracle
-    result = closed_form(g1, g2) if closed_form is not None else None
-    oracle = kirchhoff_oracle(layout.product)
-    if result is None:
-        result = oracle
+    layout = _load_layout(args, kind)
+    # a formula's preconditions imply a connected product; the oracle alone
+    # tests the product's connectivity on the factors before it builds it
+    if closed_form is None:
+        require_connected_product(layout, KIRCHHOFF_NEEDS_CONNECTED)
+        result = oracle = kirchhoff_oracle(layout.product)
+    else:
+        result = closed_form(layout.g1, layout.g2)
+        oracle = kirchhoff_oracle(layout.product)
     deviation = abs(result.value - oracle.value)
     bound = (
         args.tolerance

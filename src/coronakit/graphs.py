@@ -132,24 +132,24 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, np.column_stack([np.arange(n), np.arange(1, n + 1) % n]))
 
 
 def star_graph(leaves: int) -> Graph:
     """Star with a center (vertex 0) and ``leaves`` pendant vertices."""
     if leaves < 0:
         raise ValueError("leaves must be non-negative")
-    return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
+    return Graph(leaves + 1, np.column_stack([np.zeros(leaves, int), np.arange(1, leaves + 1)]))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -197,9 +197,7 @@ def subdivision(g: Graph) -> Graph:
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability, computed once per graph.
 
-    Graphs with at most one vertex count as connected.  The closed forms
-    and oracles do not call it: the Cholesky factorization each of them
-    runs fails on a disconnected graph, and is their connectivity test.
+    Graphs with at most one vertex count as connected.
     """
     return g._connected
 

@@ -38,8 +38,11 @@ from .graphs import (
     EDGE_KIND,
     VERTEX_KIND,
     Coord,
+    CoronaLayout,
     Graph,
     adjacency_matrix,
+    corona,
+    is_connected,
     is_regular,
     laplacian,
 )
@@ -65,6 +68,10 @@ class KirchhoffResult:
     method: str
 
 
+RESISTANCE_NEEDS_CONNECTED = "resistance distance needs a connected graph"
+KIRCHHOFF_NEEDS_CONNECTED = "Kirchhoff index needs a connected graph"
+
+
 def resistance_matrix_from_one_inverse(x: np.ndarray) -> np.ndarray:
     d = np.diag(x)
     return d[:, None] + d[None, :] - x - x.T
@@ -78,8 +85,18 @@ def resistance_oracle(g: Graph) -> np.ndarray:
     try:
         x = group_inverse_laplacian(laplacian(g))
     except PreconditionError:
-        raise PreconditionError("resistance distance needs a connected graph") from None
+        raise PreconditionError(RESISTANCE_NEEDS_CONNECTED) from None
     return resistance_matrix_from_one_inverse(x)
+
+
+def require_connected_product(layout: CoronaLayout, message: str) -> None:
+    """Raise ``PreconditionError(message)`` unless the factors give a connected product.
+
+    That is a connected ``G1`` (by ``is_connected``) and, for the edge kind,
+    no isolated vertex in ``G2``: its copies would meet no subdivision vertex.
+    """
+    if not is_connected(layout.g1) or (layout.kind == EDGE_KIND and not layout.g2.degrees().all()):
+        raise PreconditionError(message)
 
 
 def _resistance(oi: OneInverse, u, v):
@@ -257,7 +274,7 @@ def kirchhoff_oracle(g: Graph) -> KirchhoffResult:
     try:
         trace, total = group_inverse_trace_and_sum(laplacian(g))
     except PreconditionError:
-        raise PreconditionError("Kirchhoff index needs a connected graph") from None
+        raise PreconditionError(KIRCHHOFF_NEEDS_CONNECTED) from None
     value = float(g.vertex_count * trace)
     pair_sum = value - total
     if abs(value - pair_sum) > RESIDUAL_TOL * (1.0 + abs(value)):
@@ -476,7 +493,7 @@ def _shifted_pieces(g2: Graph, shift: float) -> tuple[float, float, float, float
 
 def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the vertex product, any second factor."""
-    _require_factors(g1, g2, VERTEX_KIND)
+    _require_factors(corona(g1, g2, VERTEX_KIND))
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
     shifted_sum, adjacency_trace, degree_trace, quadratic = _shifted_pieces(g2, 2.0)
     value = (
@@ -492,8 +509,7 @@ def kf_vertex_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
 
     Degree zero is allowed; only regularity matters here.
     """
-    _require_factors(g1, g2, VERTEX_KIND)
-    r2 = is_regular(g2)
+    r2 = _require_factors(corona(g1, g2, VERTEX_KIND))
     if r2 is None:
         raise PreconditionError("this formula needs a regular second factor")
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
@@ -514,7 +530,7 @@ def kf_edge_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     Needs a regular second factor of degree at least 1; otherwise the
     product is disconnected and the index is undefined.
     """
-    r2 = _require_factors(g1, g2, EDGE_KIND)
+    r2 = _require_factors(corona(g1, g2, EDGE_KIND))
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
     shifted_sum, adjacency_trace = _shifted_pieces(g2, float(r2))[:2]
     trace_terms = adjacency_trace + r2 * shifted_sum

@@ -84,25 +84,21 @@ class OneInverse:
         return x
 
 
-def _require_factors(g1: Graph, g2: Graph, kind: str) -> int:
-    """Check the cheap preconditions; return the second factor's degree for the edge kind.
+def _require_factors(layout: CoronaLayout) -> int | None:
+    """The closed forms' gate: the second factor's degree, None if it is not regular.
 
-    These are a nonempty first factor and, for the edge kind, a regular
-    second factor of degree at least 1 (0 is returned for the vertex kind).
-    The first factor's connectivity is not tested here: each caller's
-    factorization of it, the grounded Laplacian for ``Kf(G1)`` or
-    ``L1 + J/n1`` for ``S#``, fails on a disconnected one.
+    The edge kind needs a regular second factor of degree at least 1.
+    ``corona`` has rejected an empty first factor, and each caller's
+    factorization of the first factor, the grounded Laplacian for ``Kf(G1)``
+    or ``L1 + J/n1`` for ``S#``, is its connectivity test.
     """
-    if g1.vertex_count == 0:
-        raise PreconditionError("corona product needs a nonempty first factor")
-    if kind == EDGE_KIND:
-        r2 = is_regular(g2)
+    r2 = is_regular(layout.g2)
+    if layout.kind == EDGE_KIND:
         if r2 is None:
             raise PreconditionError("edge product needs a regular second factor")
         if r2 < 1:
             raise PreconditionError("edge product needs second-factor degree at least 1")
-        return r2
-    return 0
+    return r2
 
 
 def _shifted_inverse(g2: Graph, shift: float) -> np.ndarray:
@@ -122,7 +118,7 @@ def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
         s_sharp = group_inverse_laplacian(laplacian(g1))
     except PreconditionError:
         raise PreconditionError("first factor must be connected") from None
-    r2 = _require_factors(g1, g2, kind)
+    r2 = _require_factors(layout)
     n2, m2 = layout.n2, layout.m2
     r2mat = incidence_matrix(g2)
     shift, coeff = (2.0, 2.0) if kind == VERTEX_KIND else (float(r2), 3.0)

@@ -15,12 +15,14 @@ from hypothesis.extra.numpy import arrays
 
 from coronakit import (
     ENTRY_TOL,
+    CoronaLayout,
     Graph,
     closed_form_resistance_matrix,
     complete_graph,
     corona,
     cycle_graph,
     format_edge_list,
+    kirchhoff_oracle,
     parse_edge_list,
     path_graph,
     resistance_oracle,
@@ -249,6 +251,24 @@ class TestBuild:
         assert parse_edge_list(capsys.readouterr().out).edges == ((0, 1), (0, 2), (0, 3))
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("flags", [[], ["--out", "-"]], ids=["no-out", "dash-out"])
+    def test_manifest_is_not_rendered_unless_written(
+        self, tmp_path, monkeypatch, capsys, k1, k2, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        manifest = cli.layout_manifest
+        monkeypatch.setattr(
+            cli, "layout_manifest", lambda layout: calls.append(layout) or manifest(layout)
+        )
+        argv = ["build", "--kind", "vertex", "--g1", k1, "--g2", k2, *flags]
+        assert main(argv) == 0
+        assert parse_edge_list(capsys.readouterr().out).vertex_count == 4
+        assert calls == []
+        assert main([*argv, "--manifest", "m.json"]) == 0
+        assert len(calls) == 1
+        assert json.loads((tmp_path / "m.json").read_text())["n"] == 4
+
     def test_manifest_override_path(self, tmp_path, k1, k2):
         out = tmp_path / "prod.txt"
         mani = tmp_path / "layout.json"
@@ -377,6 +397,84 @@ class TestResistance:
         assert code == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def _disconnected_first_factor(n: int) -> Graph:
+    # a star and a path, two components
+    half = n // 2
+    return Graph(n, [(0, i) for i in range(1, half)] + [(i, i + 1) for i in range(half, n - 1)])
+
+
+# the two oracle routes: argv before --g1, the oracle's name in cli and its message
+ORACLE_ROUTES = {
+    "kirchhoff": (["kirchhoff", "--formula", "oracle", "--kind"], "kirchhoff_oracle",
+                  "Kirchhoff index needs a connected graph"),
+    "resistance": (["resistance", "--method", "oracle", "--kind"], "resistance_oracle",
+                   "resistance distance needs a connected graph"),
+}
+
+
+class TestOracleGate:
+    """The CLI oracle routes reject a disconnected product on its factors, before building it."""
+
+    @pytest.fixture
+    def product_reads(self, monkeypatch):
+        reads = []
+        build = CoronaLayout.product.func
+        monkeypatch.setattr(
+            CoronaLayout, "product", property(lambda layout: reads.append(layout) or build(layout))
+        )
+        return reads
+
+    def unreachable_oracles(self, monkeypatch):
+        for _, name, _ in ORACLE_ROUTES.values():
+            monkeypatch.setattr(cli, name, lambda g, name=name: pytest.fail(f"{name} was reached"))
+
+    def run(self, tmp_path, route, kind, g1, g2):
+        argv, _, _ = ORACLE_ROUTES[route]
+        out = tmp_path / "out.json"
+        code = main([*argv, kind, "--g1", write_graph(tmp_path, "g1.txt", g1),
+                     "--g2", write_graph(tmp_path, "g2.txt", g2), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("route", sorted(ORACLE_ROUTES))
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    @pytest.mark.parametrize("n", [4, 300])
+    def test_disconnected_first_factor(
+        self, tmp_path, monkeypatch, capsys, product_reads, route, kind, n
+    ):
+        self.unreachable_oracles(monkeypatch)
+        code, out = self.run(tmp_path, route, kind, _disconnected_first_factor(n), cycle_graph(4))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {ORACLE_ROUTES[route][2]}\n"
+        assert product_reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", sorted(ORACLE_ROUTES))
+    @pytest.mark.parametrize("g2", [complete_graph(1), Graph(3, [(0, 1)])], ids=["K1", "P2+K1"])
+    def test_edge_product_with_an_isolated_second_factor_vertex(
+        self, tmp_path, monkeypatch, capsys, product_reads, route, g2
+    ):
+        self.unreachable_oracles(monkeypatch)
+        code, out = self.run(tmp_path, route, "edge", path_graph(3), g2)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {ORACLE_ROUTES[route][2]}\n"
+        assert product_reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("g2", [star_graph(3), path_graph(3), Graph(0)], ids=["S3", "P3", "K0"])
+    def test_connected_edge_products_keep_their_oracle(self, tmp_path, g2):
+        # S3 and P3 are irregular, with no isolated vertex: their edge products are connected
+        g1 = path_graph(3)
+        product = corona(g1, g2, "edge").product
+        code, out = self.run(tmp_path, "kirchhoff", "edge", g1, g2)
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["value"] == payload["oracle"] == kirchhoff_oracle(product).value
+        code, out = self.run(tmp_path, "resistance", "edge", g1, g2)
+        assert code == 0
+        matrix = np.array(json.loads(out.read_text())["matrix"])
+        assert np.array_equal(matrix, resistance_oracle(product))
 
 
 class TestKirchhoff:

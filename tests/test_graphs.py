@@ -147,6 +147,22 @@ class TestGraph:
         with pytest.raises(ValueError):
             cycle_graph(2)
 
+    def test_factories_match_the_pair_loops(self):
+        # the factories build their edge arrays in numpy; the pair loops
+        # they replaced are the reference
+        for n in range(51):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert complete_graph(n) == Graph(n, pairs)
+            assert path_graph(n) == Graph(n, [(i, i + 1) for i in range(n - 1)])
+            assert star_graph(n) == Graph(n + 1, [(0, i) for i in range(1, n + 1)])
+            if n >= 3:
+                assert cycle_graph(n) == Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        for n in (-1, 0, 1, 2):
+            with pytest.raises(ValueError, match="at least 3 vertices"):
+                cycle_graph(n)
+        with pytest.raises(ValueError, match="leaves must be non-negative"):
+            star_graph(-1)
+
 
 class TestConstruction:
     @given(graphs())

@@ -69,6 +69,36 @@ class TestRunVerification:
         assert any("not regular" in c.note for c in skips)
         assert any("degree 0" in c.note for c in skips)
 
+    @pytest.mark.parametrize(
+        "pair,edge_note,vertex_skips",
+        [
+            (("K2", "P3"), "second factor not regular", {
+                "kirchhoff-regular/vertex/K2-P3": "second factor not regular",
+                "kirchhoff-regular-consistency/vertex/K2-P3": "second factor not regular",
+            }),
+            (("K2", "K1"), "second factor has degree 0", {
+                "copy-pair-alt/vertex/K2-K1": "second factor has no vertex pair",
+            }),
+            (("K2", "K0"), "second factor not regular", {
+                "group-inverse/factor/K0": "empty graph",
+                "kirchhoff-regular/vertex/K2-K0": "second factor not regular",
+                "kirchhoff-regular-consistency/vertex/K2-K0": "second factor not regular",
+                "copy-pair-alt/vertex/K2-K0": "second factor has no vertex pair",
+            }),
+        ],
+    )
+    def test_skip_notes_are_pinned(self, pair, edge_note, vertex_skips):
+        # every skipped row and its exact note: the routes' rejections map to these
+        report = run_verification(pairs=[pair], include_instances=False)
+        skips = {c.case_id: c.note for c in report.cases if c.status == "skip"}
+        families = (
+            "assembly", "resistance-one-inverse", "resistance-closed-form", "local-identity",
+            "metric-axioms", "group-inverse", "group-inverse-nullvector", "kirchhoff-closed-form",
+            "kirchhoff-oracle-consistency", "copy-pair-alt",
+        )
+        edge = {f"{family}/edge/{pair[0]}-{pair[1]}": edge_note for family in families}
+        assert skips == {**edge, **vertex_skips}
+
     def test_info_rows_report_known_discrepancies(self, full_report):
         info = {c.case_id: c for c in full_report.cases if c.status == "info"}
         alt = info["instance/alt-coefficient/vertex/K1-K2"]
