@@ -50,8 +50,8 @@ class Graph:
     edges : iterable of (int, int), or an (m, 2) integer array
         Unordered endpoint pairs, stored once as a read-only int64 ``(m, 2)``
         array of sorted rows ``u < v``; ``edges`` is a tuple built from it on
-        each read.  Self-loops, duplicates, out-of-range endpoints and input
-        that is not pairs raise ``ValueError``.
+        each read.  Self-loops, duplicates, non-integer or out-of-range
+        endpoints and input that is not pairs raise ``ValueError``.
     """
 
     vertex_count: int
@@ -67,10 +67,12 @@ class Graph:
         # the sort keys below reach n*n - n - 1, which must fit in int64
         if n * (n - 1) > 2**63:
             raise ValueError(f"vertex_count {n} is too large: edge keys overflow int64")
-        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if ends.size and ends.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, got {ends.dtype}")
         if ends.shape != (0,) and (ends.ndim != 2 or ends.shape[1] != 2):
             raise ValueError(f"edges must be (u, v) pairs, got shape {ends.shape}")
-        ends = ends.reshape(-1, 2)
+        ends = ends.reshape(-1, 2).astype(np.int64, copy=False)
         lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
         # the first offender in input order, as a loop over the edges would find it
         bad = (lo == hi) | (lo < 0) | (hi >= n)
@@ -219,16 +221,16 @@ class CoronaLayout:
 
     The layout holds only the kind and the two factors; its sizes are
     stored at construction and every index map is arithmetic on them, so
-    nothing of product size exists until ``product`` is read.  Global
-    indices come in three consecutive blocks:
+    nothing of product size exists until ``product`` is read.  A vertex's
+    global index is ``p*n1 + i`` for its ``position`` ``(p, i)``:
 
-    ======================  =========================  =====================
-    block                   range                      index of member
-    ======================  =========================  =====================
-    subdivision vertices    ``[0, n1*m2)``             ``e*n1 + i``
-    copy vertices           ``[n1*m2, n1*m2+n1*n2)``   ``n1*m2 + a*n1 + i``
-    base vertices           ``[n1*m2+n1*n2, n)``       ``n1*m2 + n1*n2 + i``
-    ======================  =========================  =====================
+    ======================  =========================  ==================
+    block                   range                      position ``p``
+    ======================  =========================  ==================
+    subdivision vertices    ``[0, n1*m2)``             ``e``
+    copy vertices           ``[n1*m2, n1*m2+n1*n2)``   ``m2 + a``
+    base vertices           ``[n1*m2+n1*n2, n)``       ``m2 + n2``
+    ======================  =========================  ==================
 
     where ``e`` is an edge of the second factor, ``a`` one of its vertices,
     ``i`` the owning first-factor vertex and ``n = n1 (1 + n2 + m2)``.
@@ -281,56 +283,52 @@ class CoronaLayout:
         edges = np.concatenate([roots, lifted.reshape(-1, 2)])
         return Graph(self.n, edges)
 
-    @property
-    def subdivision_count(self) -> int:
-        return self.n1 * self.m2
+    def position(self, coord: Coord) -> tuple[int, int]:
+        """Gadget position ``p`` and owning first-factor vertex of a coordinate.
 
-    @property
-    def copy_count(self) -> int:
-        return self.n1 * self.n2
-
-    def subdivision_index(self, e: int, i: int) -> int:
-        if not 0 <= e < self.m2:
-            raise IndexError(f"second-factor edge {e} out of range")
-        if not 0 <= i < self.n1:
-            raise IndexError(f"first-factor vertex {i} out of range")
-        return e * self.n1 + i
-
-    def copy_index(self, a: int, i: int) -> int:
-        if not 0 <= a < self.n2:
-            raise IndexError(f"second-factor vertex {a} out of range")
-        if not 0 <= i < self.n1:
-            raise IndexError(f"first-factor vertex {i} out of range")
-        return self.n1 * self.m2 + a * self.n1 + i
-
-    def base_index(self, i: int) -> int:
-        if not 0 <= i < self.n1:
-            raise IndexError(f"first-factor vertex {i} out of range")
-        return self.n1 * self.m2 + self.n1 * self.n2 + i
-
-    def classify(self, v: int) -> Coord:
-        """Inverse of the index maps: (class, local index, copy owner)."""
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range")
-        if v < self.subdivision_count:
-            return (SUBDIVISION, v // self.n1, v % self.n1)
-        v -= self.subdivision_count
-        if v < self.copy_count:
-            return (COPY, v // self.n1, v % self.n1)
-        v -= self.copy_count
-        return (BASE, v, v)
-
-    def global_index(self, coord: Coord) -> int:
+        The one place a coordinate is checked: its local index, then a base
+        coordinate's ``owner == local``, then its owner.
+        """
         cls, local, owner = coord
         if cls == SUBDIVISION:
-            return self.subdivision_index(local, owner)
-        if cls == COPY:
-            return self.copy_index(local, owner)
-        if cls == BASE:
+            p, size, what = local, self.m2, "second-factor edge"
+        elif cls == COPY:
+            p, size, what = self.m2 + local, self.n2, "second-factor vertex"
+        elif cls == BASE:
             if owner != local:
                 raise ValueError("base coordinates carry owner == local")
-            return self.base_index(local)
-        raise ValueError(f"unknown vertex class {cls!r}")
+            p, size, what = self.m2 + self.n2, self.n1, "first-factor vertex"
+        else:
+            raise ValueError(f"unknown vertex class {cls!r}")
+        if not 0 <= local < size:
+            raise IndexError(f"{what} {local} out of range")
+        if not 0 <= owner < self.n1:
+            raise IndexError(f"first-factor vertex {owner} out of range")
+        return p, owner
+
+    def global_index(self, coord: Coord) -> int:
+        p, owner = self.position(coord)
+        return p * self.n1 + owner
+
+    def subdivision_index(self, e: int, i: int) -> int:
+        return self.global_index((SUBDIVISION, e, i))
+
+    def copy_index(self, a: int, i: int) -> int:
+        return self.global_index((COPY, a, i))
+
+    def base_index(self, i: int) -> int:
+        return self.global_index((BASE, i, i))
+
+    def classify(self, v: int) -> Coord:
+        """Inverse of ``global_index``: (class, local index, copy owner)."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range")
+        p, i = divmod(v, self.n1)
+        if p < self.m2:
+            return (SUBDIVISION, p, i)
+        if p < self.m2 + self.n2:
+            return (COPY, p - self.m2, i)
+        return (BASE, i, i)
 
 
 def corona(g1: Graph, g2: Graph, kind: str) -> CoronaLayout:

@@ -11,7 +11,8 @@ Two independent routes to every quantity:
 
       r = W_pp + W_qq - 2 W_pq [i = j] + S#_ii + S#_jj - 2 S#_ij,
 
-  which serves single pairs and, broadcast, the whole matrix; plus closed
+  which serves single pairs, as Python floats off views of ``W`` and ``S#``,
+  and, broadcast, the whole matrix with the same bits; plus closed
   Kirchhoff-index expressions that never touch the product at all.  Every
   factor piece they read comes from one selected-inversion kernel,
   ``_selected_inverse``, which returns the diagonal of ``M = (diag(d) -
@@ -43,7 +44,6 @@ from .graphs import (
     adjacency_matrix,
     corona,
     is_connected,
-    is_regular,
     laplacian,
 )
 from .linalg import (
@@ -99,12 +99,10 @@ def require_connected_product(layout: CoronaLayout, message: str) -> None:
         raise PreconditionError(message)
 
 
-def _resistance(oi: OneInverse, u, v):
-    # global index p*n1 + i is gadget position p owned by first-factor vertex i;
-    # u and v may be single indices or broadcastable index arrays
-    p, i = divmod(u, oi.layout.n1)
-    q, j = divmod(v, oi.layout.n1)
-    w, s = oi.gadget, oi.s_sharp
+def _resistance(w, s, p, i, q, j):
+    # product vertices (p, i) and (q, j): gadget positions p, q owned by
+    # first-factor vertices i, j, as integers or broadcastable index arrays,
+    # read off W and S# as arrays or as scalar views
     return w[p, p] + w[q, q] - 2.0 * w[p, q] * (i == j) + (s[i, i] + s[j, j] - 2.0 * s[i, j])
 
 
@@ -126,7 +124,10 @@ def _own_inverse(g1: Graph, g2: Graph, kind: str, one_inv: OneInverse | None) ->
 
 def _pair_query(g1: Graph, g2: Graph, i: Coord, j: Coord, one_inv: OneInverse | None, kind: str) -> float:
     oi = _own_inverse(g1, g2, kind, one_inv)
-    return float(_resistance(oi, oi.layout.global_index(i), oi.layout.global_index(j)))
+    w, s = oi._views
+    p, a = oi.layout.position(i)
+    q, b = oi.layout.position(j)
+    return float(_resistance(w, s, p, a, q, b))  # a float for numpy integer coordinates too
 
 
 def resistance_vertex_corona(
@@ -162,8 +163,8 @@ def closed_form_resistance_matrix(
     ``ValueError`` is raised.
     """
     oi = _own_inverse(g1, g2, kind, one_inv)
-    v = np.arange(oi.layout.n)
-    return _resistance(oi, v[:, None], v)
+    p, i = np.divmod(np.arange(oi.layout.n), oi.layout.n1)
+    return _resistance(oi.gadget, oi.s_sharp, p[:, None], i[:, None], p, i)
 
 
 def _float_or_array(value):
@@ -183,17 +184,19 @@ def vertex_copy_resistance_alt(g2: Graph, a, b):
     return _float_or_array(2.0 * q[a, a] + 2.0 * q[b, b] - 2.0 * q[a, b])
 
 
+# the first factor under which the same-copy variant asks the edge product's gate
+_ONE_VERTEX = Graph(1)
+
+
 def edge_copy_resistance_alt(g2: Graph, a, b):
     """Same-copy resistance variant reading a three-fold shifted inverse.
 
     Takes single indices or broadcastable index arrays, as
     ``vertex_copy_resistance_alt`` does.  Differs from the shipped value by
     a factor of nine; reported by verification as an informational
-    discrepancy row.
+    discrepancy row.  ``g2`` must pass the edge product's gate.
     """
-    r2 = is_regular(g2)
-    if r2 is None or r2 < 1:
-        raise PreconditionError("variant needs a regular second factor of degree at least 1")
+    r2 = _require_factors(corona(_ONE_VERTEX, g2, EDGE_KIND))
     q = inverse(3.0 * (laplacian(g2) + float(r2) * np.eye(g2.vertex_count)))
     return _float_or_array(q[a, a] + q[b, b] - 2.0 * q[a, b])
 

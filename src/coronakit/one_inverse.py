@@ -34,6 +34,7 @@ serves as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,12 @@ class OneInverse:
         x.reshape(b, n1, b, n1)[...] = self.s_sharp[:, None, :]
         _lift(x, self.gadget)
         return x
+
+    @cached_property
+    def _views(self) -> tuple[memoryview, memoryview]:
+        # read-only views of W and S# for pair queries: an item read is a Python
+        # float, faster than ndarray[i, j], and the views copy nothing
+        return self.gadget.data.toreadonly(), self.s_sharp.data.toreadonly()
 
 
 def _require_factors(layout: CoronaLayout) -> int | None:

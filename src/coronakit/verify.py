@@ -55,12 +55,7 @@ from .metrics import (
     resistance_edge_corona,
     vertex_copy_resistance_alt,
 )
-from .one_inverse import (
-    laplacian_of_product,
-    one_inverse_corona,
-    one_inverse_edge_corona,
-    one_inverse_vertex_corona,
-)
+from .one_inverse import laplacian_of_product, one_inverse_corona
 
 CORPUS_G1 = ("K1", "K2", "P3", "K3", "S3")
 CORPUS_G2 = ("K1", "K2", "P3", "C3", "C4", "K3")
@@ -323,26 +318,21 @@ def _instance_rows(col) -> None:
     for case_id, got, want in kf_targets:
         col.check(case_id, abs(got - want), bound, got, want)
 
-    oi_v = one_inverse_vertex_corona(k1, k2)
-    targets_v = (
-        ("copy-copy", (COPY, 0, 0), (COPY, 1, 0), 1.0),
-        ("base-copy", (BASE, 0, 0), (COPY, 0, 0), 0.75),
-        ("subdivision-base", (SUBDIVISION, 0, 0), (BASE, 0, 0), 1.0),
-        ("subdivision-copy", (SUBDIVISION, 0, 0), (COPY, 0, 0), 0.75),
+    # the scalar pair queries, on one {1}-inverse per kind
+    targets = (
+        (VERTEX_KIND, "copy-copy", (COPY, 0, 0), (COPY, 1, 0), 1.0),
+        (VERTEX_KIND, "base-copy", (BASE, 0, 0), (COPY, 0, 0), 0.75),
+        (VERTEX_KIND, "subdivision-base", (SUBDIVISION, 0, 0), (BASE, 0, 0), 1.0),
+        (VERTEX_KIND, "subdivision-copy", (SUBDIVISION, 0, 0), (COPY, 0, 0), 0.75),
+        (EDGE_KIND, "copy-copy", (COPY, 0, 0), (COPY, 1, 0), 2.0),
+        (EDGE_KIND, "subdivision-copy", (SUBDIVISION, 0, 0), (COPY, 0, 0), 1.0),
+        (EDGE_KIND, "subdivision-base", (SUBDIVISION, 0, 0), (BASE, 0, 0), 1.0),
     )
-    for label, ci, cj, want in targets_v:
-        got = resistance_vertex_corona(k1, k2, ci, cj, one_inv=oi_v)
-        col.check(f"instance/resistance/vertex/K1-K2/{label}", abs(got - want), bound, got, want)
-
-    oi_e = one_inverse_edge_corona(k1, k2)
-    targets_e = (
-        ("copy-copy", (COPY, 0, 0), (COPY, 1, 0), 2.0),
-        ("subdivision-copy", (SUBDIVISION, 0, 0), (COPY, 0, 0), 1.0),
-        ("subdivision-base", (SUBDIVISION, 0, 0), (BASE, 0, 0), 1.0),
-    )
-    for label, ci, cj, want in targets_e:
-        got = resistance_edge_corona(k1, k2, ci, cj, one_inv=oi_e)
-        col.check(f"instance/resistance/edge/K1-K2/{label}", abs(got - want), bound, got, want)
+    query = {VERTEX_KIND: resistance_vertex_corona, EDGE_KIND: resistance_edge_corona}
+    one_inv = {kind: one_inverse_corona(k1, k2, kind) for kind in query}
+    for kind, label, ci, cj, want in targets:
+        got = query[kind](k1, k2, ci, cj, one_inv=one_inv[kind])
+        col.check(f"instance/resistance/{kind}/K1-K2/{label}", abs(got - want), bound, got, want)
 
     alt = vertex_copy_resistance_alt(k2, 0, 1)
     col.info(

@@ -224,6 +224,28 @@ class TestConstruction:
             assert g == Graph(3) and g.edge_count == 0 and g.edges == ()
             assert g._ends.shape == (0, 2)
 
+    def test_rejects_endpoints_that_are_not_integers(self):
+        # never truncated to (0, 1) or parsed from text
+        cases = (
+            ([(0.5, 1.7)], "float64"),
+            (np.array([[0.5, 1.7]]), "float64"),
+            ([(0, 1), (1, 2.0)], "float64"),
+            ([("0", "1")], "<U1"),
+            ([(True, False)], "bool"),
+            ([(0, 2**70)], "object"),
+        )
+        for edges, dtype in cases:
+            with pytest.raises(ValueError) as err:
+                Graph(3, edges)
+            assert str(err.value) == f"edge endpoints must be integers, got {dtype}"
+
+    def test_empty_input_of_any_dtype_and_other_integer_dtypes_are_accepted(self):
+        for empty in (np.empty((0, 2)), np.array([]), np.empty(0, dtype=object)):
+            assert Graph(3, empty) == Graph(3)
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            g = Graph(3, np.array([[2, 1], [0, 1]], dtype=dtype))
+            assert g == path_graph(3) and g._ends.dtype == np.int64
+
     def test_immutable(self):
         g = path_graph(3)
         assert not g._ends.flags.writeable
@@ -406,9 +428,48 @@ class TestCorona:
             for v in range(layout.product.vertex_count):
                 coord = layout.classify(v)
                 assert layout.global_index(coord) == v
-            assert layout.subdivision_count == layout.n1 * layout.m2
-            assert layout.copy_count == layout.n1 * layout.n2
-            assert layout.n - layout.subdivision_count - layout.copy_count == layout.n1
+            # three consecutive blocks: n1*m2 subdivision, n1*n2 copy, n1 base vertices
+            classes = [layout.classify(v)[0] for v in range(layout.n)]
+            n1, n2, m2 = layout.n1, layout.n2, layout.m2
+            assert classes == ["subdivision"] * (n1 * m2) + ["copy"] * (n1 * n2) + ["base"] * n1
+
+    @given(connected_graphs(max_vertices=4), graphs(max_vertices=4))
+    def test_position_splits_the_global_index(self, g1, g2):
+        for layout in (corona(g1, g2, "vertex"), corona(g1, g2, "edge")):
+            for v in range(layout.n):
+                assert layout.position(layout.classify(v)) == divmod(v, layout.n1)
+
+    @pytest.mark.parametrize(
+        "coord, error, message",
+        [
+            (("subdivision", 4, 0), IndexError, "second-factor edge 4 out of range"),
+            (("subdivision", -1, 0), IndexError, "second-factor edge -1 out of range"),
+            (("subdivision", 0, 3), IndexError, "first-factor vertex 3 out of range"),
+            (("subdivision", 9, 9), IndexError, "second-factor edge 9 out of range"),
+            (("copy", 4, 0), IndexError, "second-factor vertex 4 out of range"),
+            (("copy", 0, -1), IndexError, "first-factor vertex -1 out of range"),
+            (("copy", 7, 7), IndexError, "second-factor vertex 7 out of range"),
+            (("base", 0, 1), ValueError, "base coordinates carry owner == local"),
+            (("base", 5, 0), ValueError, "base coordinates carry owner == local"),
+            (("base", 3, 3), IndexError, "first-factor vertex 3 out of range"),
+            (("root", 9, 9), ValueError, "unknown vertex class 'root'"),
+        ],
+    )
+    def test_malformed_coordinates(self, coord, error, message):
+        # the local index is checked first, then a base owner, then the owner
+        layout = corona(path_graph(3), cycle_graph(4), "vertex")
+        calls = [layout.position, layout.global_index]
+        cls, local, owner = coord
+        if cls == "subdivision":
+            calls.append(lambda c: layout.subdivision_index(local, owner))
+        elif cls == "copy":
+            calls.append(lambda c: layout.copy_index(local, owner))
+        elif cls == "base" and local == owner:
+            calls.append(lambda c: layout.base_index(local))
+        for call in calls:
+            with pytest.raises(error) as err:
+                call(coord)
+            assert type(err.value) is error and str(err.value) == message
 
     def test_base_coordinate_owner_must_match(self):
         layout = corona(complete_graph(2), complete_graph(2), "vertex")

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import banded_connected_graphs, connected_graphs
+from conftest import banded_connected_graphs, connected_graphs, graphs
 from coronakit import (
     BASE,
     COPY,
+    ENTRY_TOL,
     SUBDIVISION,
     CoronaKitError,
     Graph,
@@ -832,6 +833,97 @@ class TestConnectivityByFactorization:
             kf_vertex_corona(g1, g2)
         with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
             one_inverse_corona(g1, g2, "edge")
+
+
+QUERY = {"vertex": resistance_vertex_corona, "edge": resistance_edge_corona}
+
+
+class TestPairQueries:
+    """A pair query reads Python floats off ``W`` and ``S#``, with the broadcast matrix's bits."""
+
+    @given(
+        connected_graphs(max_vertices=4),
+        st.one_of(graphs(max_vertices=3), st.sampled_from([cycle_graph(4), complete_graph(4)])),
+    )
+    def test_every_pair_has_the_bits_of_the_matrix(self, g1, g2):
+        for kind, query in QUERY.items():
+            if kind == "edge" and not (is_regular(g2) or 0) >= 1:
+                continue
+            oi = one_inverse_corona(g1, g2, kind)
+            matrix = closed_form_resistance_matrix(g1, g2, kind, one_inv=oi)
+            coords = [oi.layout.classify(v) for v in range(oi.layout.n)]
+            got = [[query(g1, g2, a, b, one_inv=oi) for b in coords] for a in coords]
+            assert all(type(x) is float for row in got for x in row)
+            assert np.array_equal(np.array(got).view(np.int64), matrix.view(np.int64))
+            assert query(g1, g2, coords[0], coords[-1]) == got[0][-1]
+
+    @pytest.mark.parametrize(
+        "kind, g1, g2", [("vertex", cycle_graph(150), complete_graph(8)), ("edge", path_graph(200), cycle_graph(12))]
+    )
+    def test_sampled_pairs_of_large_products_have_the_bits_of_the_broadcast(self, kind, g1, g2):
+        # the full matrices take 200-250 MB; the broadcast expression on the
+        # sampled index arrays gives the same entries elementwise
+        oi = one_inverse_corona(g1, g2, kind)
+        layout = oi.layout
+        u, v = np.random.default_rng(7).integers(0, layout.n, (2, 2000))
+        (p, i), (q, j) = np.divmod(u, layout.n1), np.divmod(v, layout.n1)
+        want = metrics._resistance(oi.gadget, oi.s_sharp, p, i, q, j)
+        got = [
+            QUERY[kind](g1, g2, layout.classify(a), layout.classify(b), one_inv=oi)
+            for a, b in zip(u.tolist(), v.tolist())
+        ]
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kind, n, g2", [("vertex", 150, complete_graph(8)), ("edge", 120, cycle_graph(12))])
+    def test_cycle_first_factor_matches_the_exact_reference_across_copies(self, kind, n, g2):
+        # for G1 = C_n and i != j, S#_ii + S#_jj - 2 S#_ij is the cycle's
+        # resistance d(n - d)/n at cyclic distance d, and W_pq drops out
+        g1 = cycle_graph(n)
+        oi = one_inverse_corona(g1, g2, kind)
+        layout, w = oi.layout, oi.gadget
+        u, v = np.random.default_rng(11).integers(0, layout.n, (2, 2000))
+        checked = 0
+        for a, b in zip(u.tolist(), v.tolist()):
+            (p, i), (q, j) = divmod(a, n), divmod(b, n)
+            if i == j:
+                continue
+            d = min(abs(i - j), n - abs(i - j))
+            want = w[p, p] + w[q, q] + d * (n - d) / n
+            got = QUERY[kind](g1, g2, layout.classify(a), layout.classify(b), one_inv=oi)
+            assert abs(got - want) <= ENTRY_TOL * max(1.0, want)
+            checked += 1
+        assert checked > 1900
+
+    def test_views_are_read_only_and_copy_nothing(self):
+        oi = one_inverse_vertex_corona(path_graph(3), cycle_graph(4))
+        for view, array in zip(oi._views, (oi.gadget, oi.s_sharp)):
+            assert view.readonly and view.shape == array.shape
+            assert np.shares_memory(np.asarray(view), array)
+        assert oi._views is oi._views
+
+    @pytest.mark.parametrize(
+        "coord",
+        [("subdivision", 4, 0), ("subdivision", 0, 3), ("copy", 4, 0), ("copy", 0, -1), ("base", 0, 1),
+         ("base", 5, 0), ("base", 3, 3), ("root", 0, 0)],
+    )
+    def test_malformed_coordinates_raise_as_the_index_maps_do(self, coord):
+        g1, g2 = path_graph(3), cycle_graph(4)
+        oi = one_inverse_vertex_corona(g1, g2)
+        with pytest.raises((IndexError, ValueError)) as want:
+            oi.layout.global_index(coord)
+        for a, b in ((coord, (BASE, 0, 0)), ((COPY, 0, 0), coord)):
+            for one_inv in (oi, None):
+                with pytest.raises(type(want.value)) as got:
+                    resistance_vertex_corona(g1, g2, a, b, one_inv=one_inv)
+                assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_non_integer_field_raises(self):
+        g1, g2 = path_graph(3), cycle_graph(4)
+        oi = one_inverse_vertex_corona(g1, g2)
+        for bad in (("copy", 1.0, 0), ("subdivision", 0, 1.0), ("base", 1.0, 1.0), ("copy", 1.5, 0)):
+            for a, b in ((bad, (BASE, 0, 0)), ((COPY, 0, 0), bad)):
+                with pytest.raises(TypeError):
+                    resistance_vertex_corona(g1, g2, a, b, one_inv=oi)
 
 
 class TestOneInverseOwnership:

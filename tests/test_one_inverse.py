@@ -103,7 +103,7 @@ def test_block_shapes():
     x = oi.matrix
     assert x.shape == (n1 * b,) * 2
     # the all-ones lifts: every block against the base block is S# stacked
-    s, c = oi.layout.subdivision_count, oi.layout.copy_count
+    s, c = n1 * m2, n1 * n2
     sub, cop, bas = slice(0, s), slice(s, s + c), slice(s + c, oi.layout.n)
     assert np.array_equal(x[bas, bas], oi.s_sharp)
     assert np.array_equal(x[sub, bas], np.tile(oi.s_sharp, (m2, 1)))
@@ -177,7 +177,7 @@ def test_schur_complement_of_base_block_is_first_factor_laplacian():
             if layout is None:
                 continue
             lap = laplacian(layout.product)
-            p = layout.subdivision_count + layout.copy_count
+            p = layout.n1 * (layout.m2 + layout.n2)  # the subdivision and copy blocks
             l1 = lap[:p, :p]
             l2 = lap[:p, p:]
             l3 = lap[p:, p:]
