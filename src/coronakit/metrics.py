@@ -100,9 +100,8 @@ def require_connected_product(layout: CoronaLayout, message: str) -> None:
 
 
 def _resistance(w, s, p, i, q, j):
-    # product vertices (p, i) and (q, j): gadget positions p, q owned by
-    # first-factor vertices i, j, as integers or broadcastable index arrays,
-    # read off W and S# as arrays or as scalar views
+    # gadget positions p, q owned by first-factor vertices i, j, as integers or
+    # broadcastable index arrays, read off W and S# as arrays or scalar views
     return w[p, p] + w[q, q] - 2.0 * w[p, q] * (i == j) + (s[i, i] + s[j, j] - 2.0 * s[i, j])
 
 

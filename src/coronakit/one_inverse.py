@@ -34,7 +34,6 @@ serves as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,11 +83,15 @@ class OneInverse:
         _lift(x, self.gadget)
         return x
 
-    @cached_property
-    def _views(self) -> tuple[memoryview, memoryview]:
-        # read-only views of W and S# for pair queries: an item read is a Python
-        # float, faster than ndarray[i, j], and the views copy nothing
-        return self.gadget.data.toreadonly(), self.s_sharp.data.toreadonly()
+    def __post_init__(self) -> None:
+        # read-only views of W and S# for pair queries, a plain attribute for a
+        # fast read: their items are Python floats, and they copy nothing
+        views = self.gadget.data.toreadonly(), self.s_sharp.data.toreadonly()
+        object.__setattr__(self, "_views", views)
+
+    def __reduce__(self):
+        # memoryviews do not pickle or deep-copy; the views are rebuilt from the arrays
+        return OneInverse, (self.layout, self.s_sharp, self.gadget)
 
 
 def _require_factors(layout: CoronaLayout) -> int | None:

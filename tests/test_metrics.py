@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -900,6 +902,15 @@ class TestPairQueries:
             assert view.readonly and view.shape == array.shape
             assert np.shares_memory(np.asarray(view), array)
         assert oi._views is oi._views
+
+    def test_an_inverse_with_views_pickles_and_copies(self):
+        g1, g2 = path_graph(3), cycle_graph(4)
+        oi = one_inverse_vertex_corona(g1, g2)
+        a, b = (COPY, 1, 0), (BASE, 2, 2)
+        want = resistance_vertex_corona(g1, g2, a, b, one_inv=oi)
+        for other in (pickle.loads(pickle.dumps(oi)), copy.deepcopy(oi), copy.copy(oi)):
+            assert resistance_vertex_corona(g1, g2, a, b, one_inv=other) == want
+            assert np.shares_memory(np.asarray(other._views[1]), other.s_sharp)
 
     @pytest.mark.parametrize(
         "coord",
