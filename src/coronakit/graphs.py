@@ -20,6 +20,7 @@ only when ``.product`` is first read.
 """
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -307,8 +308,9 @@ class CoronaLayout:
         return p, owner
 
     def global_index(self, coord: Coord) -> int:
+        """Product vertex of a coordinate; a non-integer field raises ``TypeError``."""
         p, owner = self.position(coord)
-        return p * self.n1 + owner
+        return operator.index(p * self.n1 + owner)
 
     def subdivision_index(self, e: int, i: int) -> int:
         return self.global_index((SUBDIVISION, e, i))

@@ -21,7 +21,9 @@ Two independent routes to every quantity:
   ``Kf(G1)`` from the Laplacian grounded at one vertex (renumbered by
   reverse Cuthill-McKee when the given numbering leaves one dense block),
   and the second-factor sums from ``Q = L2 + shift I`` in its given
-  numbering.
+  numbering.  Both are scalars memoized by value, ``Kf(G1)`` per first
+  factor and the sums per second factor and shift, so a sweep over many
+  pairs factors each distinct factor once.
 
 The oracle route is deliberately kept free of any shared code with the
 assembly, and shares no factorization with ``Kf(G1)``, so agreement between
@@ -465,41 +467,50 @@ def _first_factor_kirchhoff(g1: Graph) -> float:
         raise PreconditionError("first factor must be connected") from None
 
 
-def _kirchhoff_bracket(g1: Graph, g2: Graph, c: float, t: float, s: float) -> float:
+def _kirchhoff_bracket(g1: Graph, g2: Graph, c: float, first: float, t: float, s: float) -> float:
     # n1 (1 + n2 + m2) times the bracket of Thm 4.1, Cor 4.2 and Thm 4.3, with
-    # c = 2 (vertex) or 3 (edge) and each theorem's trace term t and shifted sum
-    # s; callers check the second factor's preconditions first, and Kf(G1)
-    # then tests the first factor's connectivity
+    # c = 2 (vertex) or 3 (edge), first = Kf(G1) and each theorem's trace term
+    # t and shifted sum s
     n1 = g1.vertex_count
     n2, m2 = g2.vertex_count, g2.edge_count
     bracket = (
         n1 * m2 / c
         + (n1 / c) * t
         + c * n1 * s
-        + ((m2 + n2 + 1) / n1) * _first_factor_kirchhoff(g1)
+        + ((m2 + n2 + 1) / n1) * first
     )
     return n1 * (1 + n2 + m2) * bracket
 
 
+@lru_cache(maxsize=32)
 def _shifted_pieces(g2: Graph, shift: float) -> tuple[float, float, float, float]:
     # (S, tr(Q^-1 A2), tr(Q^-1 D2), d'Q^-1 d) for Q = L2 + shift I and the
     # degree vector d, from one selected inversion in G2's own numbering:
     # A2 is symmetric and D2 diagonal, so the traces need only M's diagonal
     # and its entries on the edges; S = tr Q^-1 = sum 1/(mu_i + shift) over
-    # the spectrum of L2
+    # the spectrum of L2.  Memoized like Kf(G1), per (G2 value, shift): Thm
+    # 4.1, Cor 4.2 and Thm 4.3 on a 2-regular G2 share one entry
     degrees = g2.degrees().astype(np.float64)
     u, v = g2._ends.T
     diagonal, on_edges, quadratic = _selected_inverse(degrees + shift, u, v, degrees)
     return float(diagonal.sum()), 2.0 * float(on_edges.sum()), float(diagonal @ degrees), quadratic
 
 
+def _factor_pieces(g1: Graph, g2: Graph, shift: float) -> tuple[float, float, float, float, float]:
+    # Kf(G1), then the second factor's pieces for Q = L2 + shift I; callers
+    # check every precondition first.  Kf(G1) comes first because its
+    # factorization is G1's connectivity test: a call that raises leaves
+    # both memos empty
+    return (_first_factor_kirchhoff(g1), *_shifted_pieces(g2, shift))
+
+
 def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the vertex product, any second factor."""
     _require_factors(corona(g1, g2, VERTEX_KIND))
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    shifted_sum, adjacency_trace, degree_trace, quadratic = _shifted_pieces(g2, 2.0)
+    first, shifted_sum, adjacency_trace, degree_trace, quadratic = _factor_pieces(g1, g2, 2.0)
     value = (
-        _kirchhoff_bracket(g1, g2, 2.0, adjacency_trace + degree_trace, shifted_sum)
+        _kirchhoff_bracket(g1, g2, 2.0, first, adjacency_trace + degree_trace, shifted_sum)
         - (n1 / 2.0) * quadratic
         - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
     )
@@ -515,11 +526,11 @@ def kf_vertex_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     if r2 is None:
         raise PreconditionError("this formula needs a regular second factor")
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    shifted_sum = _shifted_pieces(g2, 2.0)[0]
+    first, shifted_sum = _factor_pieces(g1, g2, 2.0)[:2]
     # sum mu/(mu + 2) = sum (1 - 2/(mu + 2)) = n2 - 2S
     trace_terms = 2.0 * r2 * shifted_sum - (n2 - 2.0 * shifted_sum)
     value = (
-        _kirchhoff_bracket(g1, g2, 2.0, trace_terms, shifted_sum)
+        _kirchhoff_bracket(g1, g2, 2.0, first, trace_terms, shifted_sum)
         - n1 * n2 * r2 * r2 / 4.0
         - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
     )
@@ -534,9 +545,9 @@ def kf_edge_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     """
     r2 = _require_factors(corona(g1, g2, EDGE_KIND))
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    shifted_sum, adjacency_trace = _shifted_pieces(g2, float(r2))[:2]
+    first, shifted_sum, adjacency_trace = _factor_pieces(g1, g2, float(r2))[:3]
     trace_terms = adjacency_trace + r2 * shifted_sum
-    value = _kirchhoff_bracket(g1, g2, 3.0, trace_terms, shifted_sum) - (
+    value = _kirchhoff_bracket(g1, g2, 3.0, first, trace_terms, shifted_sum) - (
         n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2
     ) / (3.0 * r2)
     return KirchhoffResult(value=value, method="theorem-4.3")

@@ -15,10 +15,11 @@ ACCEPTANCE_LINES: list[str] = []
 
 
 @pytest.fixture(autouse=True)
-def _empty_first_factor_memo():
-    # the Kf(G1) memo lives as long as the process; no test may lean on what
-    # an earlier one left in it
+def _empty_factor_memos():
+    # the Kf(G1) and second-factor memos live as long as the process; no test
+    # may lean on what an earlier one left in them
     metrics._first_factor_kirchhoff.cache_clear()
+    metrics._shifted_pieces.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -471,6 +471,32 @@ class TestCorona:
                 call(coord)
             assert type(err.value) is error and str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "coord",
+        [("copy", 1.5, 0), ("copy", 1.0, 0), ("subdivision", 0, 2.0), ("base", 1.0, 1.0), ("copy", np.float64(1), 0)],
+    )
+    def test_non_integer_coordinates(self, coord):
+        layout = corona(path_graph(3), cycle_graph(4), "vertex")
+        cls, local, owner = coord
+        index_map = {
+            "subdivision": lambda: layout.subdivision_index(local, owner),
+            "copy": lambda: layout.copy_index(local, owner),
+            "base": lambda: layout.base_index(local),
+        }[cls]
+        for call in (lambda: layout.global_index(coord), index_map):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_numpy_integer_coordinates(self):
+        layout = corona(path_graph(3), cycle_graph(4), "vertex")
+        for v in range(layout.n):
+            cls, local, owner = layout.classify(v)
+            index = layout.global_index((cls, np.int64(local), np.int32(owner)))
+            assert index == v and type(index) is int
+        assert layout.subdivision_index(np.int64(0), np.int64(2)) == 2
+        assert layout.copy_index(np.int64(1), np.uint8(0)) == 15
+        assert layout.base_index(np.int64(1)) == 25
+
     def test_base_coordinate_owner_must_match(self):
         layout = corona(complete_graph(2), complete_graph(2), "vertex")
         with pytest.raises(ValueError):

@@ -51,6 +51,7 @@ from coronakit import (
     vertex_copy_resistance_alt,
 )
 from coronakit import metrics
+from coronakit.verify import CORPUS_G1, CORPUS_G2
 
 
 class TestOracle:
@@ -557,7 +558,22 @@ class TestKernelBits:
         ],
     )
     def test_shifted_pieces(self, name, shift, bits):
-        assert tuple(x.hex() for x in metrics._shifted_pieces(named_graph(name), shift)) == bits
+        # the first call runs the kernel, the second is a memo hit
+        for _ in range(2):
+            assert tuple(x.hex() for x in metrics._shifted_pieces(named_graph(name), shift)) == bits
+        assert metrics._shifted_pieces.cache_info()[:2] == (1, 1)
+
+
+def _memo_sizes() -> tuple[int, int]:
+    return metrics._first_factor_kirchhoff.cache_info().currsize, metrics._shifted_pieces.cache_info().currsize
+
+
+def _count_kernel_calls(monkeypatch) -> list[int]:
+    # the size of every matrix the selected-inversion kernel runs on
+    calls = []
+    kernel = metrics._selected_inverse
+    monkeypatch.setattr(metrics, "_selected_inverse", lambda *args: calls.append(len(args[0])) or kernel(*args))
+    return calls
 
 
 class TestKirchhoffClosedForms:
@@ -690,20 +706,84 @@ class TestKirchhoffClosedForms:
         kf_vertex_corona(path_graph(5), complete_graph(2))  # another value: one more call
         assert calls == [a, path_graph(5)]
 
+    def test_equal_second_factors_share_one_computation(self, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        a = _wheel(9)
+        b = Graph(9, tuple(reversed(a.edges)))  # another object, equal by value
+        assert a is not b and a == b
+        first = kf_vertex_corona(path_graph(3), a).value
+        assert kf_vertex_corona(path_graph(3), b).value == first
+        # one grounded P3 (2 vertices) and one shifted W9 (9 vertices)
+        assert sorted(calls) == [2, 9]
+        assert _memo_sizes() == (1, 1)
+
+    def test_the_three_theorems_share_one_entry_on_a_cycle(self, monkeypatch):
+        # Thm 4.1 and Cor 4.2 shift by 2, and so does Thm 4.3 on a 2-regular G2
+        calls = _count_kernel_calls(monkeypatch)
+        for kf in (kf_vertex_corona, kf_vertex_corona_regular, kf_edge_corona_regular):
+            kf(path_graph(3), cycle_graph(4))
+        assert sorted(calls) == [2, 4]
+        assert _memo_sizes() == (1, 1)
+        assert metrics._shifted_pieces.cache_info().hits == 2
+
+    def test_a_relabeled_second_factor_gets_its_own_entry(self):
+        g2 = _wheel(12)
+        label = np.random.default_rng(5).permutation(12)
+        relabeled = Graph(12, [(label[u], label[v]) for u, v in g2.edges])
+        assert relabeled != g2
+        g1 = path_graph(4)
+        want = kf_vertex_corona(g1, g2).value
+        got = kf_vertex_corona(g1, relabeled).value
+        assert _memo_sizes() == (1, 2)
+        assert got == pytest.approx(want, rel=1e-12)
+        for x, y in zip(metrics._shifted_pieces(relabeled, 2.0), metrics._shifted_pieces(g2, 2.0)):
+            assert x == pytest.approx(y, rel=1e-12)
+
+    @pytest.mark.parametrize("kf", [kf_vertex_corona, kf_vertex_corona_regular, kf_edge_corona_regular])
+    def test_a_memo_hit_keeps_the_bits(self, kf):
+        # a cycle numbered 0, 2, ..., 198, 199, 197, ..., 1 has bandwidth 2: the
+        # kernel splits each factor into blocks
+        g1, g2 = _wheel(150), Graph(200, [(i, i + 2) for i in range(198)] + [(0, 1), (198, 199)])
+        miss = kf(g1, g2).value
+        assert kf(g1, g2).value.hex() == miss.hex()
+        metrics._first_factor_kirchhoff.cache_clear()
+        metrics._shifted_pieces.cache_clear()
+        assert kf(g1, g2).value.hex() == miss.hex()
+        assert metrics._shifted_pieces.cache_info()[:2] == (0, 1)
+
+    def test_the_corpus_runs_the_kernel_once_per_factor_value(self, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        for _ in range(2):
+            for a in CORPUS_G1:
+                for b in CORPUS_G2:
+                    for kf in (kf_vertex_corona, kf_vertex_corona_regular, kf_edge_corona_regular):
+                        try:
+                            kf(named_graph(a), named_graph(b))
+                        except PreconditionError:
+                            pass  # an irregular or edgeless second factor
+        # first factors: K2, P3, K3, S3 (K1 grounds to nothing); second
+        # factors at shift 2: K1, K2, P3, C3 (equal to K3), C4, and K2 at shift
+        # 1 for Thm 4.3
+        assert len(calls) == 4 + 6
+        assert _memo_sizes() == (5, 6)
+
     def test_disconnected_first_factor_raises_on_every_call(self):
         g1 = Graph(4, ((0, 1), (2, 3)))
         for _ in range(2):
             for kf in (kf_vertex_corona, kf_vertex_corona_regular, kf_edge_corona_regular):
                 with pytest.raises(PreconditionError, match="first factor must be connected"):
                     kf(g1, cycle_graph(3))
+        # a call that raises caches nothing: Kf(G1) is read before the
+        # second factor's pieces
+        assert _memo_sizes() == (0, 0)
 
     @pytest.mark.parametrize("kf", [kf_vertex_corona_regular, kf_edge_corona_regular])
     def test_irregular_second_factor_leaves_the_memo_empty(self, kf):
-        # a call that raises caches nothing: Kf(G1) is reached only after
-        # every precondition has passed
+        # a call that raises caches nothing: the factors are reached only
+        # after every precondition has passed
         with pytest.raises(PreconditionError, match="regular second factor"):
             kf(path_graph(300), star_graph(3))
-        assert metrics._first_factor_kirchhoff.cache_info().currsize == 0
+        assert _memo_sizes() == (0, 0)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -767,7 +847,7 @@ class TestConnectivityByFactorization:
         _assert_every_route_rejects(g)
         with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
             one_inverse_corona(g, cycle_graph(4), "vertex")
-        assert metrics._first_factor_kirchhoff.cache_info().currsize == 0
+        assert _memo_sizes() == (0, 0)
 
     @pytest.mark.parametrize(
         "g",
