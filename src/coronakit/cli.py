@@ -258,11 +258,7 @@ def cmd_kirchhoff(args) -> int:
         result = closed_form(layout.g1, layout.g2)
         oracle = kirchhoff_oracle(layout.product)
     deviation = abs(result.value - oracle.value)
-    bound = (
-        args.tolerance
-        if args.tolerance is not None
-        else RESIDUAL_TOL * (1.0 + abs(oracle.value))
-    )
+    bound = args.tolerance or RESIDUAL_TOL * (1.0 + abs(oracle.value))
     payload = {
         "command": "kirchhoff",
         "formula": args.formula,
@@ -367,7 +363,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (EdgeListError, OSError, ValueError) as exc:
         error, code = exc, EXIT_USAGE
-    except (PreconditionError, SingularMatrixError) as exc:
+    except (PreconditionError, SingularMatrixError, MemoryError) as exc:
         error, code = exc, EXIT_PRECONDITION
     except CoronaKitError as exc:
         error, code = exc, EXIT_VERIFY_FAILED

@@ -181,12 +181,9 @@ def vertex_copy_resistance_alt(g2: Graph, a, b):
     off one shifted inverse.  Kept only so verification can report how far
     this variant drifts from the oracle; the shipped dispatch never uses it.
     """
-    q = _shifted_inverse(g2, 2.0)
-    return _float_or_array(2.0 * q[a, a] + 2.0 * q[b, b] - 2.0 * q[a, b])
-
-
-# the first factor under which the same-copy variant asks the edge product's gate
-_ONE_VERTEX = Graph(1)
+    _, shift, c = _require_factors(g2, VERTEX_KIND)
+    q = _shifted_inverse(g2, shift)
+    return _float_or_array(c * q[a, a] + c * q[b, b] - c * q[a, b])
 
 
 def edge_copy_resistance_alt(g2: Graph, a, b):
@@ -197,8 +194,8 @@ def edge_copy_resistance_alt(g2: Graph, a, b):
     a factor of nine; reported by verification as an informational
     discrepancy row.  ``g2`` must pass the edge product's gate.
     """
-    r2 = _require_factors(corona(_ONE_VERTEX, g2, EDGE_KIND))
-    q = inverse(3.0 * (laplacian(g2) + float(r2) * np.eye(g2.vertex_count)))
+    _, shift, c = _require_factors(g2, EDGE_KIND)
+    q = inverse(c * (laplacian(g2) + shift * np.eye(g2.vertex_count)))
     return _float_or_array(q[a, a] + q[b, b] - 2.0 * q[a, b])
 
 
@@ -496,21 +493,21 @@ def _shifted_pieces(g2: Graph, shift: float) -> tuple[float, float, float, float
     return float(diagonal.sum()), 2.0 * float(on_edges.sum()), float(diagonal @ degrees), quadratic
 
 
-def _factor_pieces(g1: Graph, g2: Graph, shift: float) -> tuple[float, float, float, float, float]:
-    # Kf(G1), then the second factor's pieces for Q = L2 + shift I; callers
-    # check every precondition first.  Kf(G1) comes first because its
-    # factorization is G1's connectivity test: a call that raises leaves
-    # both memos empty
-    return (_first_factor_kirchhoff(g1), *_shifted_pieces(g2, shift))
+def _kirchhoff_inputs(g1: Graph, g2: Graph, kind: str, regular: bool = False) -> tuple:
+    # (r2, c, Kf(G1), *G2's pieces for Q = L2 + shift I), preconditions first: an empty
+    # G1 (corona), the gate, then Kf(G1), whose factorization is G1's connectivity
+    # test, before the pieces, so a call that raises leaves both memos empty
+    corona(g1, g2, kind)
+    r2, shift, c = _require_factors(g2, kind, regular)
+    return (r2, c, _first_factor_kirchhoff(g1), *_shifted_pieces(g2, shift))
 
 
 def kf_vertex_corona(g1: Graph, g2: Graph) -> KirchhoffResult:
     """Closed-form Kirchhoff index of the vertex product, any second factor."""
-    _require_factors(corona(g1, g2, VERTEX_KIND))
+    _, c, first, shifted_sum, adjacency_trace, degree_trace, quadratic = _kirchhoff_inputs(g1, g2, VERTEX_KIND)
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    first, shifted_sum, adjacency_trace, degree_trace, quadratic = _factor_pieces(g1, g2, 2.0)
     value = (
-        _kirchhoff_bracket(g1, g2, 2.0, first, adjacency_trace + degree_trace, shifted_sum)
+        _kirchhoff_bracket(g1, g2, c, first, adjacency_trace + degree_trace, shifted_sum)
         - (n1 / 2.0) * quadratic
         - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
     )
@@ -522,15 +519,12 @@ def kf_vertex_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
 
     Degree zero is allowed; only regularity matters here.
     """
-    r2 = _require_factors(corona(g1, g2, VERTEX_KIND))
-    if r2 is None:
-        raise PreconditionError("this formula needs a regular second factor")
+    r2, c, first, shifted_sum = _kirchhoff_inputs(g1, g2, VERTEX_KIND, regular=True)[:4]
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    first, shifted_sum = _factor_pieces(g1, g2, 2.0)[:2]
     # sum mu/(mu + 2) = sum (1 - 2/(mu + 2)) = n2 - 2S
     trace_terms = 2.0 * r2 * shifted_sum - (n2 - 2.0 * shifted_sum)
     value = (
-        _kirchhoff_bracket(g1, g2, 2.0, first, trace_terms, shifted_sum)
+        _kirchhoff_bracket(g1, g2, c, first, trace_terms, shifted_sum)
         - n1 * n2 * r2 * r2 / 4.0
         - (5.0 * n1 * m2 + 2.0 * n1 * n2) / 2.0
     )
@@ -543,11 +537,10 @@ def kf_edge_corona_regular(g1: Graph, g2: Graph) -> KirchhoffResult:
     Needs a regular second factor of degree at least 1; otherwise the
     product is disconnected and the index is undefined.
     """
-    r2 = _require_factors(corona(g1, g2, EDGE_KIND))
+    r2, c, first, shifted_sum, adjacency_trace = _kirchhoff_inputs(g1, g2, EDGE_KIND)[:5]
     n1, n2, m2 = g1.vertex_count, g2.vertex_count, g2.edge_count
-    first, shifted_sum, adjacency_trace = _factor_pieces(g1, g2, float(r2))[:3]
     trace_terms = adjacency_trace + r2 * shifted_sum
-    value = _kirchhoff_bracket(g1, g2, 3.0, first, trace_terms, shifted_sum) - (
+    value = _kirchhoff_bracket(g1, g2, c, first, trace_terms, shifted_sum) - (
         n1 * m2 * r2 + n1 * n2 * (r2 + 3.0) ** 2
     ) / (3.0 * r2)
     return KirchhoffResult(value=value, method="theorem-4.3")

@@ -94,21 +94,27 @@ class OneInverse:
         return OneInverse, (self.layout, self.s_sharp, self.gadget)
 
 
-def _require_factors(layout: CoronaLayout) -> int | None:
-    """The closed forms' gate: the second factor's degree, None if it is not regular.
+def _require_factors(g2: Graph, kind: str, _regular: bool = False) -> tuple[int | None, float, float]:
+    """The closed forms' one gate on the second factor; returns ``(r2, shift, c)``.
 
-    The edge kind needs a regular second factor of degree at least 1.
+    ``r2`` is the degree of ``g2``, None if it is not regular; the ``kind`` gadget
+    reads ``Q = L2 + shift I`` and ``c Q^-1``, with ``(2.0, 2.0)`` for the vertex
+    kind and ``(float(r2), 3.0)`` for the edge kind, which needs ``r2 >= 1``.
+    ``_regular`` adds Cor 4.2's rule, a regular ``g2``, to the vertex kind.
     ``corona`` has rejected an empty first factor, and each caller's
     factorization of the first factor, the grounded Laplacian for ``Kf(G1)``
     or ``L1 + J/n1`` for ``S#``, is its connectivity test.
     """
-    r2 = is_regular(layout.g2)
-    if layout.kind == EDGE_KIND:
+    r2 = is_regular(g2)
+    if kind == EDGE_KIND:
         if r2 is None:
             raise PreconditionError("edge product needs a regular second factor")
         if r2 < 1:
             raise PreconditionError("edge product needs second-factor degree at least 1")
-    return r2
+        return r2, float(r2), 3.0
+    if _regular and r2 is None:
+        raise PreconditionError("this formula needs a regular second factor")
+    return r2, 2.0, 2.0
 
 
 def _shifted_inverse(g2: Graph, shift: float) -> np.ndarray:
@@ -128,10 +134,9 @@ def one_inverse_corona(g1: Graph, g2: Graph, kind: str) -> OneInverse:
         s_sharp = group_inverse_laplacian(laplacian(g1))
     except PreconditionError:
         raise PreconditionError("first factor must be connected") from None
-    r2 = _require_factors(layout)
+    _, shift, coeff = _require_factors(g2, kind)
     n2, m2 = layout.n2, layout.m2
     r2mat = incidence_matrix(g2)
-    shift, coeff = (2.0, 2.0) if kind == VERTEX_KIND else (float(r2), 3.0)
     q_inv = _shifted_inverse(g2, shift)
     q_inv = 0.5 * (q_inv + q_inv.T)
     t_small = (np.eye(m2) + r2mat.T @ q_inv @ r2mat) / coeff

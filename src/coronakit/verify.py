@@ -84,6 +84,16 @@ _SKIP_NOTES = {
 }
 
 
+def _kind_formulas(kind: str) -> tuple:
+    # kind -> (theorem, regular theorem or None, printed same-copy variant, pair query),
+    # built on each call from this module's names, so a wrapper set on one is the one called
+    return {
+        VERTEX_KIND: (kf_vertex_corona, kf_vertex_corona_regular, vertex_copy_resistance_alt,
+                      resistance_vertex_corona),
+        EDGE_KIND: (kf_edge_corona_regular, None, edge_copy_resistance_alt, resistance_edge_corona),
+    }[kind]
+
+
 @lru_cache(maxsize=128)
 def named_graph(name: str) -> Graph:
     """Small-graph catalog: K<n> complete, P<n> path, C<n> cycle, S<n> star.
@@ -201,6 +211,7 @@ def _group_inverse_rows(col: _Collector, prefix: str, lap: np.ndarray):
 
 def _product_rows(col, pair, kind, g1, g2) -> None:
     layout = corona(g1, g2, kind)
+    theorem, regular_theorem, alt_variant, _ = _kind_formulas(kind)
     n1, m1 = layout.n1, layout.m1
     n2, m2 = layout.n2, layout.m2
     want_n = n1 * (1 + n2 + m2)
@@ -219,8 +230,7 @@ def _product_rows(col, pair, kind, g1, g2) -> None:
     try:
         oi = one_inverse_corona(g1, g2, kind)
     except PreconditionError as exc:
-        # only vertex products carry the regular-formula rows
-        regular = _REGULAR_FAMILIES if kind == VERTEX_KIND else ()
+        regular = _REGULAR_FAMILIES if regular_theorem else ()
         for family in _PRODUCT_FAMILIES + regular:
             col.skip(f"{family}/{kind}/{pair}", _SKIP_NOTES.get(str(exc), str(exc)))
         return
@@ -250,10 +260,7 @@ def _product_rows(col, pair, kind, g1, g2) -> None:
     )
     col.check(f"metric-axioms/{kind}/{pair}", metric_violation(r_oracle), 1e-10 * r_scale)
 
-    if kind == VERTEX_KIND:
-        kf_closed = kf_vertex_corona(g1, g2)
-    else:
-        kf_closed = kf_edge_corona_regular(g1, g2)
+    kf_closed = theorem(g1, g2)
     kf_bound = RESIDUAL_TOL * (1.0 + abs(kf_oracle))
     col.check(
         f"kirchhoff-closed-form/{kind}/{pair}",
@@ -262,9 +269,9 @@ def _product_rows(col, pair, kind, g1, g2) -> None:
         kf_closed.value,
         kf_oracle,
     )
-    if kind == VERTEX_KIND:
+    if regular_theorem is not None:
         try:
-            kf_reg = kf_vertex_corona_regular(g1, g2)
+            kf_reg = regular_theorem(g1, g2)
         except PreconditionError as exc:
             for family in _REGULAR_FAMILIES:
                 col.skip(f"{family}/{kind}/{pair}", _SKIP_NOTES.get(str(exc), str(exc)))
@@ -290,7 +297,6 @@ def _product_rows(col, pair, kind, g1, g2) -> None:
         # report how far the printed same-copy variant sits from the oracle;
         # informational only, the shipped dispatch does not use it
         a, b = np.triu_indices(n2, 1)
-        alt_variant = vertex_copy_resistance_alt if kind == VERTEX_KIND else edge_copy_resistance_alt
         alt = alt_variant(g2, a, b)
         copies = layout.copy_index(0, 0) + n1 * np.arange(n2)  # the copy owned by vertex 0
         true = r_oracle[copies[a], copies[b]]
@@ -328,10 +334,9 @@ def _instance_rows(col) -> None:
         (EDGE_KIND, "subdivision-copy", (SUBDIVISION, 0, 0), (COPY, 0, 0), 1.0),
         (EDGE_KIND, "subdivision-base", (SUBDIVISION, 0, 0), (BASE, 0, 0), 1.0),
     )
-    query = {VERTEX_KIND: resistance_vertex_corona, EDGE_KIND: resistance_edge_corona}
-    one_inv = {kind: one_inverse_corona(k1, k2, kind) for kind in query}
+    one_inv = {kind: one_inverse_corona(k1, k2, kind) for kind in (VERTEX_KIND, EDGE_KIND)}
     for kind, label, ci, cj, want in targets:
-        got = query[kind](k1, k2, ci, cj, one_inv=one_inv[kind])
+        got = _kind_formulas(kind)[3](k1, k2, ci, cj, one_inv=one_inv[kind])
         col.check(f"instance/resistance/{kind}/K1-K2/{label}", abs(got - want), bound, got, want)
 
     alt = vertex_copy_resistance_alt(k2, 0, 1)

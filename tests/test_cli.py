@@ -477,6 +477,33 @@ class TestOracleGate:
         assert np.array_equal(matrix, resistance_oracle(product))
 
 
+class TestMemoryExhausted:
+    """A product past dense range exits 3 with numpy's message and writes no file."""
+
+    MESSAGE = "Unable to allocate 103. GiB for an array with shape (117300, 117300) and data type float64"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kirchhoff", "--formula", "thm4.1"],
+            ["kirchhoff", "--formula", "oracle", "--kind", "vertex"],
+            ["resistance", "--method", "both", "--kind", "vertex"],
+            ["resistance", "--method", "oracle", "--kind", "vertex"],
+        ],
+    )
+    def test_exit_code_and_message(self, tmp_path, monkeypatch, capsys, p3, argv):
+        def exhausted(g):
+            raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(cli, "kirchhoff_oracle", exhausted)
+        monkeypatch.setattr(cli, "resistance_oracle", exhausted)
+        out = tmp_path / "out.json"
+        assert main([*argv, "--g1", p3, "--g2", p3, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {self.MESSAGE}\n")
+        assert not out.exists()
+
+
 class TestKirchhoff:
     def test_closed_form_value(self, capsys, k1, k2):
         assert main(["kirchhoff", "--formula", "thm4.1", "--g1", k1, "--g2", k2]) == 0

@@ -180,7 +180,7 @@ class TestAltVariants:
         assert alt * 9.0 == pytest.approx(true, abs=1e-12)
 
     def test_edge_alt_needs_regular(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^edge product needs a regular second factor$"):
             edge_copy_resistance_alt(path_graph(3), 0, 1)
 
 
@@ -915,6 +915,55 @@ class TestConnectivityByFactorization:
             kf_vertex_corona(g1, g2)
         with pytest.raises(PreconditionError, match=f"^{_FIRST}$"):
             one_inverse_corona(g1, g2, "edge")
+
+
+_NONEMPTY = "corona product needs a nonempty first factor"
+_REGULAR = "edge product needs a regular second factor"
+_DEGREE = "edge product needs second-factor degree at least 1"
+_COR42 = "this formula needs a regular second factor"
+# every call that asks the closed forms' gate; the printed variants read G2 alone
+_GATED_CALLS = {
+    "one_inverse/vertex": lambda g1, g2: one_inverse_corona(g1, g2, "vertex"),
+    "one_inverse/edge": lambda g1, g2: one_inverse_corona(g1, g2, "edge"),
+    "thm4.1": kf_vertex_corona,
+    "cor4.2": kf_vertex_corona_regular,
+    "thm4.3": kf_edge_corona_regular,
+    "alt/vertex": lambda g1, g2: vertex_copy_resistance_alt(g2, 0, 0),
+    "alt/edge": lambda g1, g2: edge_copy_resistance_alt(g2, 0, 0),
+}
+# (G1, G2) -> the message each of _GATED_CALLS raises, in order, None where it
+# returns; "2K2" is two disjoint edges.  An empty G1 comes first; the
+# {1}-inverse factors S# before the gate, Cor 4.2 and Thm 4.3 ask the gate
+# before Kf(G1)
+_PRECEDENCE = {
+    ("K0", "P3"): (_NONEMPTY,) * 5 + (None, _REGULAR),
+    ("K0", "K1"): (_NONEMPTY,) * 5 + (None, _DEGREE),
+    ("K0", "C4"): (_NONEMPTY,) * 5 + (None, None),
+    ("2K2", "P3"): (_FIRST, _FIRST, _FIRST, _COR42, _REGULAR, None, _REGULAR),
+    ("2K2", "K1"): (_FIRST, _FIRST, _FIRST, _FIRST, _DEGREE, None, _DEGREE),
+    ("2K2", "C4"): (_FIRST,) * 5 + (None, None),
+    ("P3", "P3"): (None, _REGULAR, None, _COR42, _REGULAR, None, _REGULAR),
+    ("P3", "K1"): (None, _DEGREE, None, None, _DEGREE, None, _DEGREE),
+    ("P3", "C4"): (None,) * 7,
+}
+
+
+@pytest.mark.parametrize("a,b", sorted(_PRECEDENCE))
+def test_precondition_precedence(a, b):
+    # each call's exception type and message, exactly, and both memos empty
+    # after every call that raises
+    g1 = Graph(4, ((0, 1), (2, 3))) if a == "2K2" else named_graph(a)
+    g2 = named_graph(b)
+    for (name, call), want in zip(_GATED_CALLS.items(), _PRECEDENCE[a, b]):
+        metrics._first_factor_kirchhoff.cache_clear()
+        metrics._shifted_pieces.cache_clear()
+        if want is None:
+            call(g1, g2)
+            continue
+        with pytest.raises(PreconditionError) as info:
+            call(g1, g2)
+        assert (type(info.value), str(info.value)) == (PreconditionError, want), name
+        assert _memo_sizes() == (0, 0), name
 
 
 QUERY = {"vertex": resistance_vertex_corona, "edge": resistance_edge_corona}

@@ -19,7 +19,7 @@ from coronakit import (
     path_graph,
 )
 from coronakit import metrics
-from coronakit.one_inverse import one_inverse_corona
+from coronakit.one_inverse import _require_factors, one_inverse_corona
 from coronakit.verify import CORPUS_G1, CORPUS_G2
 
 
@@ -206,3 +206,30 @@ class TestPreconditions:
         oi = one_inverse_vertex_corona(complete_graph(2), Graph(3))
         lap = laplacian(oi.layout.product)
         assert np.abs(lap @ oi.matrix @ lap - lap).max() < 1e-10
+
+
+class TestGate:
+    """``_require_factors`` raises every second-factor rule and returns ``(r2, shift, c)``."""
+
+    @pytest.mark.parametrize("name", CORPUS_G2)
+    def test_returns_the_gadget_constants(self, name):
+        g2 = named_graph(name)
+        r2 = is_regular(g2)
+        assert _require_factors(g2, "vertex") == (r2, 2.0, 2.0)
+        if edge_admissible(g2):
+            got = _require_factors(g2, "edge")
+            assert got == (r2, float(r2), 3.0)
+            assert type(got[1]) is float
+        else:
+            with pytest.raises(PreconditionError, match="^edge product needs "):
+                _require_factors(g2, "edge")
+
+    @pytest.mark.parametrize("name", CORPUS_G2)
+    def test_cor42_rule_is_a_regular_second_factor(self, name):
+        g2 = named_graph(name)
+        r2 = is_regular(g2)
+        if r2 is None:
+            with pytest.raises(PreconditionError, match="^this formula needs a regular second factor$"):
+                _require_factors(g2, "vertex", _regular=True)
+        else:
+            assert _require_factors(g2, "vertex", _regular=True) == (r2, 2.0, 2.0)
